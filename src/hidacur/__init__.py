@@ -4,7 +4,7 @@ Closed-form S-transforms, chaos-kernel pairings, mollified Monte Carlo
 verification, and divergence diagnostics for the current at the origin.
 """
 
-from .chaos import (ChaosPairing, FiniteRankKernel, extract_chaos_pairing,
+from .chaos import (ChaosPairing, extract_chaos_pairing,
                     first_chaos_pairing_closed, second_chaos_pairing_closed)
 from .diagnostics import DivergenceReport, default_cutoffs, divergence_scan
 from .errors import (IntegrandFailureError, NonexistenceError,

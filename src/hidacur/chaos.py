@@ -7,6 +7,8 @@ differentiation (no subtractive cancellation); order >= 2 uses central
 differences with one Richardson extrapolation, with the error estimated
 from the disagreement between two step sizes.
 
+The closed forms integrate the z^1 and z^2 Taylor coefficients of the
+current's own integrand (stransform._current_kernel) for one component.
 The second-chaos closed form ships in two conventions, because the printed
 kernel and the direct Taylor coefficient of the S-transform differ by a
 factor of -2 (see second_chaos_pairing_closed); the numeric derivative
@@ -21,17 +23,14 @@ import numpy as np
 
 from .errors import UnstableDerivativeError
 from .quad import integrate_singular
-from .stransform import CurrentParams, UFunctional
+from .stransform import _current_kernel
 
 __all__ = [
     "ChaosPairing",
-    "FiniteRankKernel",
     "extract_chaos_pairing",
     "first_chaos_pairing_closed",
     "second_chaos_pairing_closed",
 ]
-
-_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -39,33 +38,6 @@ class ChaosPairing:
     value: float
     error_estimate: float
     order: int
-
-
-@dataclass(frozen=True)
-class FiniteRankKernel:
-    """Finite-rank chaos kernel of the current: a t-density against fixed
-    atom shapes.
-
-    order 1, component i: density (2 pi)^(-d/2) t^(-d/2) exp(-|x|^2/2t) on
-    the atom delta_t in slot i.  order 2: the pair of shapes
-    (eta_t (x) delta_t) and (delta_t (x) eta_t) with the index pattern of the
-    mixed kernel.  Pairing against a test function reduces to the closed
-    forms below.
-    """
-
-    order: int
-    component: int
-    params: CurrentParams
-
-    def pairing(self, phi, convention="derivative"):
-        if self.order == 0:
-            return 0.0
-        if self.order == 1:
-            return first_chaos_pairing_closed(self.params, phi, self.component)
-        if self.order == 2:
-            return second_chaos_pairing_closed(self.params, phi, self.component,
-                                               convention=convention)
-        raise ValueError("only orders 0, 1, 2 are carried in closed form")
 
 
 def _real(v):
@@ -128,16 +100,8 @@ def first_chaos_pairing_closed(p, phi, i, tol=1e-11):
     """(2 pi)^(-d/2) int_0^T t^(-d/2) exp(-|x|^2/2t) phi_i(t) dt.
 
     Exists exactly on the existence region; NonexistenceError otherwise."""
-    p.check_existence()
-    r2 = float(np.dot(p.x, p.x))
-    damping = None if p.at_origin else r2 / 2.0
-
-    def f(t):
-        return (_TWO_PI * t) ** (-p.d / 2.0) * np.exp(-r2 / (2.0 * t)) * phi.eval(t, i)
-
-    res = integrate_singular(f, p.T, sing_exponent=-p.d / 2.0, tol=tol,
-                             damping=damping)
-    return res.value
+    f, opts = _current_kernel(p, phi, i, order=1)
+    return integrate_singular(f, p.T, tol=tol, **opts).value
 
 
 def second_chaos_pairing_closed(p, phi, i, convention="derivative", tol=1e-11):
@@ -153,20 +117,7 @@ def second_chaos_pairing_closed(p, phi, i, convention="derivative", tol=1e-11):
     """
     if convention not in ("paper", "derivative"):
         raise ValueError(f"unknown convention {convention!r}")
-    p.check_existence()
-    x = p.x
-    r2 = float(np.dot(x, x))
-    damping = None if p.at_origin else r2 / 2.0
-
-    def f(t):
-        c = phi.cumulative_all(t)  # (d, n)
-        xc = np.tensordot(x, c, axes=(0, 0))
-        return (_TWO_PI) ** (-p.d / 2.0) * t ** (-p.d / 2.0 - 1.0) \
-            * np.exp(-r2 / (2.0 * t)) * xc * phi.eval(t, i)
-
-    # x.c(t) ~ t near 0, so the effective exponent gains one power of t
-    res = integrate_singular(f, p.T, sing_exponent=-p.d / 2.0, tol=tol,
-                             damping=damping)
-    if convention == "paper":
-        return -0.5 * res.value
-    return res.value
+    # x.c(t) ~ t near 0, so the t^(-d/2) exponent of the current still holds
+    f, opts = _current_kernel(p, phi, i, order=2)
+    value = integrate_singular(f, p.T, tol=tol, **opts).value
+    return -0.5 * value if convention == "paper" else value

@@ -2,9 +2,9 @@
 
     hidacur <kind> --config <path> [--out <dir>] [--seed <u64>]
 
-Kinds map one-to-one onto the experiment runners.  The run writes
-``<kind>.json`` (and for some kinds a tidy ``<kind>.csv``) into ``--out``;
-records are idempotent given the config apart from the wall-time field.
+Each kind runs one experiment runner and writes ``<kind>.json`` (and, with
+row data, a ``<kind>.csv`` of JSON-text cells) into ``--out``; records are
+idempotent given the config apart from the wall-time field.
 
 Exit codes:
     0   success
@@ -19,6 +19,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -60,11 +61,11 @@ def _write_outputs(out_dir, kind, record):
     if rows:
         csv_path = os.path.join(out_dir, f"{kind}.csv")
         keys = sorted({k for row in rows for k in row})
-        with open(csv_path, "w") as fh:
-            fh.write(",".join(keys) + "\n")
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(keys)
             for row in rows:
-                fh.write(",".join(json.dumps(row.get(k, "")).replace(",", ";")
-                                  for k in keys) + "\n")
+                writer.writerow([json.dumps(row.get(k, "")) for k in keys])
     return path
 
 

@@ -67,10 +67,13 @@ def _mass(d, T, delta):
 
 
 def _lstsq_1d(u, y, w):
+    """Weighted least squares y = intercept + slope * u; returns
+    (intercept, slope, weighted rms residual)."""
     sw, su, sy = w.sum(), (w * u).sum(), (w * y).sum()
     suu, suy = (w * u * u).sum(), (w * u * y).sum()
     denom = sw * suu - su * su
-    slope = (sw * suy - su * sy) / denom
+    # u constant up to rounding (e.g. one radius): slope undetermined, take 0
+    slope = 0.0 if denom <= 1e-12 * sw * suu else (sw * suy - su * sy) / denom
     intercept = (sy - slope * su) / sw
     resid = float(np.sqrt(np.average((y - intercept - slope * u) ** 2, weights=w)))
     return intercept, slope, resid

@@ -9,6 +9,7 @@ default knobs reproduce the acceptance grid exactly.
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -97,6 +98,16 @@ def _random_phi(rng, d, n_basis=5, unit_l2=True):
     return phi
 
 
+def _random_instance(rng, half_width):
+    """Draw d in {1, 2, 3}, then x uniform on [-half_width, half_width]^d
+    redrawn until |x| >= 0.3, then a unit-L2 phi; returns (d, x, phi)."""
+    d = int(rng.integers(1, 4))
+    x = rng.uniform(-half_width, half_width, size=d)
+    while np.linalg.norm(x) < 0.3:
+        x = rng.uniform(-half_width, half_width, size=d)
+    return d, x, _random_phi(rng, d)
+
+
 def run_gamma_check(knobs):
     """Closed-form singular mass vs direct adaptive quadrature (criterion 1)."""
     ds = knobs.get("d_values", [1, 2, 3, 4, 5])
@@ -121,21 +132,26 @@ def run_gamma_check(knobs):
             "passed": bool(worst <= rtol), "rtol": rtol}
 
 
-def run_stransform(knobs):
-    """Closed-form current S-transform (CLI kind).
+def run_stransform(knobs, mollified=False):
+    """Closed-form current S-transform on one parameter set (CLI kinds
+    "stransform" and, with mollified=True, "mollified", which needs "eps2").
 
-    With "sweep": true, runs the existence-region sweep instead of a single
-    evaluation.  A single evaluation at x = 0 with d > 1 raises
-    NonexistenceError (exit code 4 in the CLI)."""
-    if knobs.get("sweep"):
+    With "sweep": true, the stransform kind runs the existence-region sweep
+    instead of a single evaluation.  A single unmollified evaluation at
+    x = 0 with d > 1 raises NonexistenceError (exit code 4 in the CLI)."""
+    if knobs.get("sweep") and not mollified:
         return run_existence(knobs)
     p = CurrentParams(knobs["x"], knobs["T"])
     phi = _phi_from_config(knobs["phi"])
     tol = knobs.get("tol", 1e-10)
-    values, results = s_current(p, phi, tol=tol, full_output=True)
+    if mollified:
+        values, [res] = s_current_mollified(p, phi, knobs["eps2"], tol=tol,
+                                            full_output=True)
+    else:
+        values, [res] = s_current(p, phi, tol=tol, full_output=True)
     return {"value": values.tolist(),
-            "abs_error_estimate": [r.abs_error_estimate for r in results],
-            "node_count": sum(r.node_count for r in results),
+            "abs_error_estimate": res.abs_error_estimate.tolist(),
+            "node_count": res.node_count,
             "passed": True}
 
 
@@ -148,27 +164,16 @@ def run_existence(knobs):
     n_origin_d1 = knobs.get("n_origin_d1", 5)
     rows = []
     ok = True
-    for _ in range(n_nonzero):
-        d = int(rng.integers(1, 4))
-        x = rng.uniform(-2.0, 2.0, size=d)
-        while np.linalg.norm(x) < 0.3:
-            x = rng.uniform(-2.0, 2.0, size=d)
-        phi = _random_phi(rng, d)
-        values, results = s_current(CurrentParams(x, 1.0), phi, tol=tol,
-                                    full_output=True)
-        err = max(r.abs_error_estimate for r in results)
+    instances = [_random_instance(rng, 2.0) for _ in range(n_nonzero)]
+    instances += [(1, np.zeros(1), _random_phi(rng, 1))
+                  for _ in range(n_origin_d1)]
+    for d, x, phi in instances:
+        values, [res] = s_current(CurrentParams(x, 1.0), phi, tol=tol,
+                                  full_output=True)
+        err = float(np.max(res.abs_error_estimate))
         finite = bool(np.all(np.isfinite(values)))
         ok &= finite and err <= tol
         rows.append({"d": d, "x": x.tolist(), "value": values.tolist(),
-                     "err": err, "finite": finite})
-    for _ in range(n_origin_d1):
-        phi = _random_phi(rng, 1)
-        values, results = s_current(CurrentParams([0.0], 1.0), phi, tol=tol,
-                                    full_output=True)
-        err = max(r.abs_error_estimate for r in results)
-        finite = bool(np.all(np.isfinite(values)))
-        ok &= finite and err <= tol
-        rows.append({"d": 1, "x": [0.0], "value": values.tolist(),
                      "err": err, "finite": finite})
     refusals = []
     for d in (2, 3):
@@ -194,11 +199,7 @@ def run_chaos(knobs):
     rows = []
     worst1 = worst0 = 0.0
     for _ in range(n_instances):
-        d = int(rng.integers(1, 4))
-        x = rng.uniform(-1.5, 1.5, size=d)
-        while np.linalg.norm(x) < 0.3:
-            x = rng.uniform(-1.5, 1.5, size=d)
-        phi = _random_phi(rng, d)
+        d, x, phi = _random_instance(rng, 1.5)
         i = int(rng.integers(0, d))
         p = CurrentParams(x, 1.0)
         F = current_ufunctional(p, i, tol=1e-13)
@@ -228,11 +229,7 @@ def run_second_chaos(knobs):
     worst = 0.0
     ratios = []
     for _ in range(n_instances):
-        d = int(rng.integers(1, 4))
-        x = rng.uniform(-1.5, 1.5, size=d)
-        while np.linalg.norm(x) < 0.3:
-            x = rng.uniform(-1.5, 1.5, size=d)
-        phi = _random_phi(rng, d)
+        d, x, phi = _random_instance(rng, 1.5)
         i = int(rng.integers(0, d))
         p = CurrentParams(x, 1.0)
         F = current_ufunctional(p, i, tol=1e-13)
@@ -290,20 +287,6 @@ def run_mc(knobs):
                      "estimate_body": est.to_json()})
     return {"rows": rows, "n_paths": n_paths, "n_steps": n_steps,
             "passed": bool(ok)}
-
-
-def run_mollified(knobs):
-    """Closed-form mollified S-transform on one parameter set (CLI kind)."""
-    p = CurrentParams(knobs["x"], knobs["T"])
-    phi = _phi_from_config(knobs["phi"])
-    eps2 = knobs["eps2"]
-    tol = knobs.get("tol", 1e-10)
-    values, results = s_current_mollified(p, phi, eps2, tol=tol,
-                                          full_output=True)
-    return {"value": values.tolist(),
-            "abs_error_estimate": [r.abs_error_estimate for r in results],
-            "node_count": sum(r.node_count for r in results),
-            "passed": True}
 
 
 def run_diverge(knobs):
@@ -366,7 +349,7 @@ def run_ubound(knobs):
 EXPERIMENT_KINDS = {
     "gamma-check": run_gamma_check,
     "stransform": run_stransform,
-    "mollified": run_mollified,
+    "mollified": partial(run_stransform, mollified=True),
     "chaos": run_chaos,
     "mc": run_mc,
     "diverge": run_diverge,

@@ -56,6 +56,8 @@ class MCConfig:
             raise ValueError(f"x must have length d={self.d}")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
+        if self.block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if not self.eps2 > 0.0:
             raise ValueError(f"eps2 must be > 0, got {self.eps2}")
         if not self.T > 0.0:
@@ -268,11 +270,8 @@ def mc_s_transform(cfg, phi, n_threads=None, csv_path=None, control_variate=True
                 fh.write(f"{b},{r[5]}," +
                          ",".join(repr(v / r[5]) for v in r[0]) + "\n")
 
-    sg = _pairwise_sum([r[0] for r in results])
-    sgg = _pairwise_sum([r[1] for r in results])
-    sf = _pairwise_sum([r[2] for r in results])
-    sff = _pairwise_sum([r[3] for r in results])
-    sgf = _pairwise_sum([r[4] for r in results])
+    # one fold over the stacked moments: the same additions, element by element
+    sg, sgg, sf, sff, sgf = _pairwise_sum([np.stack(r[:5]) for r in results])
     n_total = sum(r[5] for r in results)
 
     mean_g = sg / n_total

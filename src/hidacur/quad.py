@@ -12,7 +12,9 @@ the pair disagrees.  The integrand is never evaluated at t = 0.  Two regimes:
     tolerance floor.
 
 Integrands must accept numpy arrays of nodes; complex-valued integrands are
-supported (needed for S-transforms at complex scaling).
+supported (needed for S-transforms at complex scaling).  A vector integrand
+returns shape (k, n) for n nodes: its k rows share one mesh, every stopping
+and refinement test uses the worst row, and value and error are (k,) arrays.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ _MAX_DEPTH = 30
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float  # or complex
-    abs_error_estimate: float
+    value: float  # or complex; a (k,) array for a (k, n) integrand
+    abs_error_estimate: float  # per row for a (k, n) integrand
     node_count: int
 
 
@@ -59,8 +61,14 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _worst(a):
+    """Largest row of a per-row value; skips numpy's slow scalar reduction."""
+    return a.max() if a.ndim else a
+
+
 def _panel(f, a, b, budget):
-    """Embedded 16/32-point Gauss estimate of int_a^b f; returns (I, err, fmax)."""
+    """Embedded 16/32-point Gauss estimate of int_a^b f; returns (I, err, fmax),
+    each per row for a (k, n) integrand."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x16, w16 = _gauss(16)
     x32, w32 = _gauss(32)
@@ -69,21 +77,22 @@ def _panel(f, a, b, budget):
     f32 = np.asarray(f(mid + half * x32))
     if not (np.all(np.isfinite(f16)) and np.all(np.isfinite(f32))):
         raise IntegrandFailureError(f"integrand returned NaN/inf on [{a}, {b}]")
-    i16 = half * np.dot(w16, f16)
-    i32 = half * np.dot(w32, f32)
-    fmax = float(np.max(np.abs(f32)))
+    # .T is a no-op on one row, so a scalar integrand sums as it always has
+    i16 = half * np.dot(w16, f16.T)
+    i32 = half * np.dot(w32, f32.T)
+    fmax = np.abs(f32).max(axis=-1)
     return i32, abs(i32 - i16), fmax
 
 
 def _adaptive(f, a, b, tol, budget, depth=0):
     """Adaptive bisection until the panel error estimate is below tol."""
     val, err, fmax = _panel(f, a, b, budget)
-    if err <= tol or depth >= _MAX_DEPTH:
+    if _worst(err) <= tol or depth >= _MAX_DEPTH:
         return val, err, fmax
     m = 0.5 * (a + b)
     v1, e1, m1 = _adaptive(f, a, m, 0.5 * tol, budget, depth + 1)
     v2, e2, m2 = _adaptive(f, m, b, 0.5 * tol, budget, depth + 1)
-    return v1 + v2, e1 + e2, max(m1, m2)
+    return v1 + v2, e1 + e2, np.maximum(m1, m2)
 
 
 def integrate_singular(f, T, sing_exponent, tol, damping=None,
@@ -92,14 +101,17 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None,
 
     Parameters
     ----------
-    f : callable mapping a numpy array of nodes in (0, T] to values.
+    f : callable mapping a numpy array of n nodes in (0, T] to values,
+        shape (n,) or (k, n) for k integrands on one mesh.
     T : upper limit, > 0.
     sing_exponent : p such that |f(t)| <= M t^p near 0 (p > -1 required
         unless a damping constant is given).
     tol : requested absolute error.
     damping : optional c > 0 when f carries a factor exp(-c/t); enables the
         graded-mesh path for any exponent.
-    node_budget : cap on integrand evaluations.
+    node_budget : cap on integrand evaluations (nodes, not rows).
+
+    A scalar integrand gets a Python float or complex value and a float error.
     """
     if not T > 0.0:
         raise ValueError(f"T must be > 0, got {T}")
@@ -128,7 +140,7 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None,
             t_cut = a
             if damping and damping > 0.0:
                 # superexponential decay: stop once a panel is negligible
-                if abs(val) <= floor and fmax * (b - a) <= floor:
+                if _worst(abs(val)) <= floor and _worst(fmax) * (b - a) <= floor:
                     err_total += abs(val) + fmax * (b - a)
                     break
             else:
@@ -139,11 +151,11 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None,
                 budget.spend(8)
                 probe = t_cut * (b / t_cut) ** np.linspace(0.0, 1.0, 8)
                 fp = np.abs(np.asarray(f(probe)))
-                m_alg = float(np.max(fp / probe ** p)) if np.all(np.isfinite(fp)) \
+                m_alg = (fp / probe ** p).max(axis=-1) if np.all(np.isfinite(fp)) \
                     else fmax / t_cut ** p
                 # the 1e-10 relative pad absorbs rounding in the bound itself
                 tail = m_alg * t_cut ** (p + 1.0) / (p + 1.0) * (1.0 + 1e-10)
-                if tail <= tol / 2.0:
+                if _worst(tail) <= tol / 2.0:
                     err_total += tail
                     break
             if k >= _MAX_PANELS:
@@ -156,11 +168,10 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None,
             f"node budget {node_budget} exhausted", best_estimate=total
         ) from None
 
-    if isinstance(total, complex):
-        value = total
-    else:
-        value = float(total)
     # allowance for rounding in the panel-sum accumulation itself
     err_total += (k + 1) * np.finfo(float).eps * (1.0 + abs(total))
-    return QuadResult(value=value, abs_error_estimate=float(err_total),
+    if np.ndim(total) == 0:
+        total = total if isinstance(total, complex) else float(total)
+        err_total = float(err_total)
+    return QuadResult(value=total, abs_error_estimate=err_total,
                       node_count=budget.used)

@@ -15,6 +15,10 @@ Everything here is an explicit integral formula:
 with c_j(t) = int_0^t phi_j.  The current at the origin exists only in
 dimension 1; for d > 1 the integral diverges and NonexistenceError is
 raised (that negative outcome is quantified in the diagnostics module).
+
+One integrand (_current_kernel) serves every component, the mollification
+and the chaos kernels (its z^1 and z^2 Taylor coefficients).  s_current and
+s_current_mollified integrate all d components in one vector quadrature.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .diagnostics import _lstsq_1d, default_cutoffs, divergence_scan
 from .errors import NonexistenceError
 from .quad import integrate_singular
 from .special import singular_mass_closed
@@ -125,83 +130,74 @@ def s_donsker(x, t, phi, z=1.0):
     return float(val)
 
 
-def _current_integrand(p, phi, i, z=1.0, eps2=0.0):
-    """t-array integrand of component i of the (possibly mollified, possibly
-    z-scaled) current S-transform."""
-    x = p.x
+def _current_kernel(p, phi, i=None, z=1.0, eps2=0.0, order=None):
+    """(f, opts) for integrate_singular(f, p.T, tol=..., **opts), where
+    f(t) = (2 pi te)^(-d/2) exp(-|x - z c(t)|^2 / 2te) z phi(t), te = t + eps2,
+    as (d, n) for all components (i None) or (n,) for component i.  order=1
+    or 2 takes the z^1 or z^2 Taylor coefficient, the first or second chaos
+    kernel: exp(-|x|^2 / 2te) phi(t), times (x . c(t)) / te for order 2.
+    eps2 > 0 bounds the kernel: exponent 0 and no existence check."""
+    if eps2 == 0.0:
+        p.check_existence()
+    if phi.dimension != p.d:
+        raise ValueError("test function dimension does not match d")
+    x, d = p.x, p.d
+    r2 = float(np.dot(x, x))
 
     def f(t):
         te = t + eps2
-        c = phi.cumulative_all(t)  # (d, n)
-        q = np.sum((x[:, None] - z * c) ** 2, axis=0)
-        return (_TWO_PI * te) ** (-p.d / 2.0) * np.exp(-q / (2.0 * te)) \
-            * z * phi.eval(t, i)
+        if order is None:
+            q = np.sum((x[:, None] - z * phi.cumulative_all(t)) ** 2, axis=0)
+        else:
+            q = r2
+        k = (_TWO_PI * te) ** (-d / 2.0) * np.exp(-q / (2.0 * te))
+        if order is None:
+            k = k * z
+        elif order == 2:
+            k = k * (x @ phi.cumulative_all(t) / te)
+        return k * (phi.eval_all(t) if i is None else phi.eval(t, i))
 
-    return f
+    if eps2 > 0.0:
+        return f, {"sing_exponent": 0.0}
+    damping = None if p.at_origin else r2 / 2.0
+    return f, {"sing_exponent": -d / 2.0, "damping": damping}
 
 
 def s_current(p, phi, tol=1e-10, full_output=False):
-    """S-transform of the current, component-wise; length-d vector.
+    """S-transform of the current, all d components in one quadrature.
 
     Only defined on the existence region (x != 0, or x = 0 with d = 1);
-    raises NonexistenceError otherwise.
+    raises NonexistenceError otherwise.  full_output=True also returns the
+    QuadResults spent: one, with length-d value and error arrays.
     """
-    p.check_existence()
-    if phi.dimension != p.d:
-        raise ValueError("test function dimension does not match d")
-    damping = None if p.at_origin else float(np.dot(p.x, p.x)) / 2.0
-    vals = np.empty(p.d)
-    results = []
-    for i in range(p.d):
-        res = integrate_singular(
-            _current_integrand(p, phi, i), p.T,
-            sing_exponent=-p.d / 2.0, tol=tol, damping=damping,
-        )
-        vals[i] = res.value
-        results.append(res)
-    if full_output:
-        return vals, results
-    return vals
+    f, opts = _current_kernel(p, phi)
+    res = integrate_singular(f, p.T, tol=tol, **opts)
+    return (res.value, [res]) if full_output else res.value
 
 
 def s_current_mollified(p, phi, eps2, tol=1e-10, full_output=False):
     """Mollified current S-transform; defined for every x, every d.
 
     Replacing the delta by a Gaussian of variance eps2 shifts t -> t + eps2
-    in the kernel, so the integrand is bounded on (0, T].
+    in the kernel, so the integrand is bounded on (0, T].  full_output as
+    in s_current.
     """
     if not eps2 > 0.0:
         raise ValueError(f"eps2 must be > 0, got {eps2}")
-    if phi.dimension != p.d:
-        raise ValueError("test function dimension does not match d")
-    vals = np.empty(p.d)
-    results = []
-    for i in range(p.d):
-        res = integrate_singular(
-            _current_integrand(p, phi, i, eps2=eps2), p.T,
-            sing_exponent=0.0, tol=tol,
-        )
-        vals[i] = res.value
-        results.append(res)
-    if full_output:
-        return vals, results
-    return vals
+    f, opts = _current_kernel(p, phi, eps2=eps2)
+    res = integrate_singular(f, p.T, tol=tol, **opts)
+    return (res.value, [res]) if full_output else res.value
 
 
 def current_ufunctional(p, i, tol=1e-12):
     """Component i of the current S-transform as a U-functional in z."""
 
     def f(z, phi):
-        p.check_existence()
         z = complex(z)
+        g, opts = _current_kernel(p, phi, i, z=z)
         if z == 0.0:
             return 0.0 + 0.0j
-        damping = None if p.at_origin else float(np.dot(p.x, p.x)) / 2.0
-        res = integrate_singular(
-            _current_integrand(p, phi, i, z=z), p.T,
-            sing_exponent=-p.d / 2.0, tol=tol, damping=damping,
-        )
-        return complex(res.value)
+        return complex(integrate_singular(g, p.T, tol=tol, **opts).value)
 
     return UFunctional(f, label=f"S xi_{i}(x={p.x.tolist()}, T={p.T})")
 
@@ -245,8 +241,6 @@ def check_integrability(p, tol=1e-10):
         res = integrate_singular(lambda t: t ** -0.5, p.T,
                                  sing_exponent=-0.5, tol=tol)
         return res.value
-    from .diagnostics import default_cutoffs, divergence_scan
-
     return divergence_scan(p.d, p.T, default_cutoffs(p.T))
 
 
@@ -255,12 +249,13 @@ def fit_ufunctional_bound(F, phi, radii, angles_per_radius=16):
 
     Samples z = r e^(i theta); takes the max of log|F| over angles at each
     radius, least-squares fits the quadratic growth coefficient with
-    tail-emphasizing weights r^2, then inflates C1 so every sample satisfies
-    the bound (the definition demands a majorant, not a best fit).
+    tail-emphasizing weights r^2 (0 from a single radius), then inflates C1
+    so every sample satisfies the bound (the definition demands a majorant,
+    not a best fit).
     """
     radii = np.asarray(radii, dtype=float)
-    if radii.size == 0:
-        raise ValueError("radii must be nonempty")
+    if radii.size == 0 or not np.all(radii > 0.0):
+        raise ValueError("radii must be nonempty and positive")
     nrm2 = phi.combined_norm() ** 2
     thetas = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
     y = np.empty(radii.size)
@@ -268,12 +263,7 @@ def fit_ufunctional_bound(F, phi, radii, angles_per_radius=16):
         mags = [abs(F(r * np.exp(1j * th), phi)) for th in thetas]
         y[k] = np.log(max(max(mags), 1e-300))
     u = radii ** 2 * nrm2
-    w = radii ** 2
-    # weighted LS of y = b0 + C2 * u
-    sw, su, sy = w.sum(), (w * u).sum(), (w * y).sum()
-    suu, suy = (w * u * u).sum(), (w * u * y).sum()
-    denom = sw * suu - su * su
-    slope = 0.0 if denom <= 0.0 else (sw * suy - su * sy) / denom
+    _, slope, _ = _lstsq_1d(u, y, radii ** 2)
     c2 = max(slope, 0.0)
     log_c1 = np.max(y - c2 * u)
     return BoundFit(C1=float(np.exp(log_c1)), C2=float(c2),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hidacur import (CurrentParams, FiniteRankKernel, NonexistenceError,
+from hidacur import (CurrentParams, NonexistenceError,
                      TestFunction, UFunctional, UnstableDerivativeError,
                      extract_chaos_pairing, first_chaos_pairing_closed,
                      second_chaos_pairing_closed)
@@ -147,20 +147,6 @@ class TestSecondChaosClosed:
             second_chaos_pairing_closed(CurrentParams([0.5], 1.0),
                                         TestFunction.zero(1), 0,
                                         convention="other")
-
-
-class TestFiniteRankKernel:
-    def test_dispatch(self, rng):
-        p = CurrentParams([0.7], 1.0)
-        phi = random_phi(rng, 1, 4)
-        k1 = FiniteRankKernel(order=1, component=0, params=p)
-        assert k1.pairing(phi) == first_chaos_pairing_closed(p, phi, 0)
-        k2 = FiniteRankKernel(order=2, component=0, params=p)
-        assert k2.pairing(phi, convention="paper") == \
-            second_chaos_pairing_closed(p, phi, 0, convention="paper")
-        assert FiniteRankKernel(order=0, component=0, params=p).pairing(phi) == 0.0
-        with pytest.raises(ValueError):
-            FiniteRankKernel(order=3, component=0, params=p).pairing(phi)
 
 
 class TestTruncatedReconstruction:

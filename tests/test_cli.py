@@ -1,5 +1,6 @@
 """CLI: config handling, exit codes, result records."""
 
+import csv
 import json
 import os
 
@@ -71,6 +72,30 @@ class TestRecords:
         assert rec["wall_time_s"] >= 0.0
         assert rec["inputs"]["T"] == 1.0
         assert (tmp_path / "diverge.csv").exists()
+
+    def test_csv_reads_back_to_the_record_rows(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "sweep": True, "n_nonzero": 3, "n_origin_d1": 1, "seed": 5})
+        assert main(["stransform", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        rec = json.loads((tmp_path / "stransform.json").read_text())
+        with open(tmp_path / "stransform.csv", newline="") as fh:
+            rows = [{k: json.loads(v) for k, v in row.items()}
+                    for row in csv.DictReader(fh)]
+        assert any(len(row["x"]) > 1 for row in rows)
+        assert rows == rec["rows"]
+
+    def test_mollified_needs_eps2(self, tmp_path):
+        knobs = {"x": [0.5, 0.3], "T": 1.0, "phi": phi_ref([[1.0], [0.5]])}
+        cfg = write_config(tmp_path, "c.json", knobs)
+        assert main(["mollified", "--config", cfg,
+                     "--out", str(tmp_path)]) == 2
+        cfg = write_config(tmp_path, "c.json", dict(knobs, eps2=0.05))
+        assert main(["mollified", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        rec = json.loads((tmp_path / "mollified.json").read_text())
+        assert len(rec["value"]) == len(rec["abs_error_estimate"]) == 2
+        assert rec["node_count"] > 0
 
     def test_stransform_zero_phi_zero_vector(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

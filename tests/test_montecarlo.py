@@ -260,3 +260,14 @@ class TestSerialization:
             small_cfg(eps2=0.0)
         with pytest.raises(ValueError):
             small_cfg(dtype="float16")
+
+    @pytest.mark.parametrize("block_size", [0, -5])
+    def test_nonpositive_block_size_rejected(self, block_size):
+        with pytest.raises(ValueError, match="block_size"):
+            small_cfg(block_size=block_size)
+        import json
+
+        body = json.loads(small_cfg().to_json())
+        body["block_size"] = block_size
+        with pytest.raises(ValueError, match="block_size"):
+            MCConfig.from_json(json.dumps(body))

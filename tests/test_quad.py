@@ -86,3 +86,58 @@ class TestComplexIntegrands:
         exact = (np.exp(1j) - 1.0) / 1j
         assert abs(res.value - exact) <= 1e-11
         assert isinstance(res.value, complex)
+
+
+class TestVectorIntegrands:
+    # two damped real integrals and a complex one, stacked on one mesh
+    @staticmethod
+    def stack(t):
+        return np.array([np.exp(-0.5 / t) / np.sqrt(t),
+                         np.exp(-0.5 / t) * t ** -1.5,
+                         np.exp(1j * t) * np.exp(-0.5 / t)])
+
+    def separate(self, tol):
+        return [integrate_singular(lambda t, k=k: self.stack(t)[k], 1.0,
+                                   sing_exponent=-1.5, tol=tol, damping=0.5)
+                for k in range(3)]
+
+    def test_rows_match_exact_values_on_one_mesh(self):
+        tol = 1e-10
+        res = integrate_singular(self.stack, 1.0, sing_exponent=-1.5,
+                                 tol=tol, damping=0.5)
+        exact = [upper_incomplete_gamma(-0.5, 0.5) / np.sqrt(2.0),
+                 np.sqrt(2.0) * upper_incomplete_gamma(0.5, 0.5),
+                 quad_complex(lambda t: np.exp(1j * t - 0.5 / t))]
+        assert res.value.shape == res.abs_error_estimate.shape == (3,)
+        assert np.iscomplexobj(res.value)
+        assert np.all(np.abs(res.value - exact) <= tol)
+        assert np.all(res.abs_error_estimate <= tol)
+        alone = self.separate(tol)
+        assert res.node_count <= sum(r.node_count for r in alone)
+        assert np.all(np.abs(res.value - [r.value for r in alone]) <= 2 * tol)
+
+    def test_algebraic_regime_vector(self):
+        res = integrate_singular(
+            lambda t: np.array([t ** -0.5, np.ones_like(t)]), 1.0,
+            sing_exponent=-0.5, tol=1e-10)
+        assert np.allclose(res.value, [2.0, 1.0], atol=1e-9, rtol=0)
+        assert res.abs_error_estimate.shape == (2,)
+
+    def test_scalar_integrand_still_returns_scalars(self):
+        res = integrate_singular(lambda t: t ** -0.5, 1.0,
+                                 sing_exponent=-0.5, tol=1e-10)
+        assert type(res.value) is float
+        assert type(res.abs_error_estimate) is float
+        res = integrate_singular(lambda t: np.exp(1j * t), 1.0,
+                                 sing_exponent=0.0, tol=1e-12)
+        assert isinstance(res.value, complex) and np.ndim(res.value) == 0
+        assert type(res.abs_error_estimate) is float
+
+
+def quad_complex(f):
+    """int_0^1 f by scipy, real and imaginary parts separately."""
+    from scipy.integrate import quad
+
+    re = quad(lambda t: f(t).real, 0.0, 1.0, epsabs=1e-14, limit=200)[0]
+    im = quad(lambda t: f(t).imag, 0.0, 1.0, epsabs=1e-14, limit=200)[0]
+    return re + 1j * im

@@ -101,6 +101,25 @@ class TestSCurrent:
         with pytest.raises(ValueError):
             s_current(CurrentParams([0.5], 1.0), TestFunction.zero(2, 2))
 
+    def test_one_quadrature_matches_componentwise_integrals(self, rng):
+        # the (d, n) vector quadrature against scipy per component
+        for d in (2, 3):
+            phi = random_phi(rng, d, 5)
+            x = rng.uniform(0.3, 1.2, size=d)
+            p = CurrentParams(x, 1.0)
+            vals, results = s_current(p, phi, tol=1e-10, full_output=True)
+            assert len(results) == 1
+            assert results[0].abs_error_estimate.shape == (d,)
+            for i in range(d):
+                def integrand(t):
+                    c = np.array([phi.cumulative(t, j) for j in range(d)])
+                    q = float(np.sum((x - c) ** 2))
+                    return (2 * np.pi * t) ** (-d / 2) * np.exp(-q / (2 * t)) \
+                        * phi.eval(t, i)
+
+                oracle, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, limit=400)
+                assert vals[i] == pytest.approx(oracle, abs=1e-9)
+
     def test_export_record(self, rng):
         phi = random_phi(rng, 1, 4)
         p = CurrentParams([0.5], 1.0)
@@ -227,6 +246,22 @@ class TestFitUFunctionalBound:
             for th in np.linspace(0, 2 * np.pi, 16, endpoint=False):
                 mag = abs(F(r * np.exp(1j * th), phi))
                 assert mag <= fit.C1 * np.exp(fit.C2 * r * r * nrm2) * (1 + 1e-9)
+
+
+    def test_single_radius_gives_zero_growth_and_a_majorant(self, rng):
+        phi = random_phi(rng, 1, 5, unit_l2=True)
+        F = donsker_ufunctional([0.6], 1.0)
+        for r in (0.7, 3.0, 11.0):
+            fit = fit_ufunctional_bound(F, phi, [r])
+            assert fit.C2 == 0.0
+            for th in np.linspace(0, 2 * np.pi, 16, endpoint=False):
+                assert abs(F(r * np.exp(1j * th), phi)) <= fit.C1 * (1 + 1e-9)
+
+    def test_radii_must_be_positive(self, rng):
+        phi = random_phi(rng, 1, 3)
+        for radii in ([], [0.0], [1.0, -2.0]):
+            with pytest.raises(ValueError):
+                fit_ufunctional_bound(constant_ufunctional(1.0), phi, radii)
 
 
 class TestProofChainBound:
