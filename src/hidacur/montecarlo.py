@@ -223,7 +223,7 @@ def default_threads():
     return min(8, os.cpu_count() or 1)
 
 
-def mc_s_transform(cfg, phi, n_threads=None, csv_path=None, control_variate=True):
+def mc_s_transform(cfg, phi, n_threads=None, control_variate=True):
     """Empirical S-transform of the mollified current at phi.
 
     Estimates E[current * exp(<w, phi> - |phi|^2/2)] componentwise over
@@ -261,14 +261,6 @@ def mc_s_transform(cfg, phi, n_threads=None, csv_path=None, control_variate=True
                        for b in range(n_blocks)}
             for fut, b in futures.items():
                 results[b] = fut.result()
-
-    if csv_path is not None:
-        with open(csv_path, "w") as fh:
-            fh.write("block,n_paths," +
-                     ",".join(f"partial_mean_{i}" for i in range(cfg.d)) + "\n")
-            for b, r in enumerate(results):
-                fh.write(f"{b},{r[5]}," +
-                         ",".join(repr(v / r[5]) for v in r[0]) + "\n")
 
     # one fold over the stacked moments: the same additions, element by element
     sg, sgg, sf, sff, sgf = _pairwise_sum([np.stack(r[:5]) for r in results])

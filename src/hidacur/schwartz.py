@@ -1,9 +1,11 @@
 """Vector-valued Schwartz test functions in a finite Hermite-function basis.
 
 A test function phi with d components is stored as d coefficient vectors
-against the orthonormal Hermite functions {h_k} of L^2(R).  All norms used
-downstream live here: the L^2 norm |phi| (exact via Parseval), the sup norm
-|phi|_inf, and the combined norm sqrt(|phi|^2 + |phi|_inf^2).
+against the orthonormal Hermite functions {h_k} of L^2(R), zero-padded into
+one (d, n_basis) matrix that every evaluator contracts with one h_k table.
+All norms used downstream live here: the L^2 norm |phi| (exact via
+Parseval), the sup norm |phi|_inf, and the combined norm
+sqrt(|phi|^2 + |phi|_inf^2).
 
 Component indices are 0-based throughout.
 """
@@ -54,14 +56,19 @@ def hermite_antiderivatives(n_max, t):
     rounding; accurate to ~1e-14 for the coefficient counts used here.
     """
     t = np.asarray(t, dtype=float)
-    h = hermite_values(n_max + 1, t)
-    h0 = hermite_values(n_max + 1, 0.0)
-    out = np.empty((n_max,) + t.shape)
-    if n_max >= 1:
-        out[0] = np.pi ** 0.25 / np.sqrt(2.0) * erf(t / np.sqrt(2.0))
+    return _antiderivatives(hermite_values(n_max + 1, np.append(0.0, t)), t)
+
+
+def _antiderivatives(h, t):
+    """I_k(t) for k = 0..len(h)-2, read off the table
+    h = hermite_values(len(h), [0, *t.ravel()]); shape (len(h)-1,) + shape(t)."""
+    n_max = len(h) - 1
+    dh = (h[:-1, 1:] - h[:-1, :1]).reshape((n_max,) + t.shape)  # h_k(t) - h_k(0)
+    out = np.empty_like(dh)
+    out[:1] = np.pi ** 0.25 / np.sqrt(2.0) * erf(t / np.sqrt(2.0))
     for k in range(n_max - 1):
         prev = out[k - 1] if k >= 1 else 0.0
-        out[k + 1] = (np.sqrt(k / 2.0) * prev - (h[k] - h0[k])) / np.sqrt((k + 1) / 2.0)
+        out[k + 1] = (np.sqrt(k / 2.0) * prev - dh[k]) / np.sqrt((k + 1) / 2.0)
     return out
 
 
@@ -82,7 +89,11 @@ class TestFunction:
         for c in comps:
             if c.ndim != 1 or not np.all(np.isfinite(c)):
                 raise ValueError("coefficients must be finite 1-d arrays")
+        coef = np.zeros((len(comps), max(1, *(len(c) for c in comps))))
+        for i, c in enumerate(comps):
+            coef[i, : len(c)] = c
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_coef", coef)
 
     @property
     def dimension(self):
@@ -90,43 +101,43 @@ class TestFunction:
 
     @property
     def n_basis(self):
-        return max(len(c) for c in self.components)
+        return self._coef.shape[1]
 
     def _check_index(self, i):
         if not 0 <= i < self.dimension:
             raise IndexError(f"component index {i} out of range for d={self.dimension}")
 
+    def _contract(self, table):
+        # coef @ table over the basis axis, shape (d,) + table.shape[1:];
+        # matmul on a 2-d view costs a fifth of np.tensordot's overhead
+        flat = self._coef @ table.reshape(len(table), -1)
+        return flat.reshape((-1,) + table.shape[1:])
+
     def eval(self, t, i):
         """phi_i(t); t may be a scalar or array."""
         self._check_index(i)
-        c = self.components[i]
-        h = hermite_values(len(c), t)
-        return np.tensordot(c, h, axes=(0, 0))
+        return self.eval_all(t)[i]
 
     def eval_all(self, t):
         """All components at once, shape (d,) + shape(t)."""
-        t = np.asarray(t, dtype=float)
-        h = hermite_values(self.n_basis, t)
-        out = np.zeros((self.dimension,) + t.shape)
-        for i, c in enumerate(self.components):
-            out[i] = np.tensordot(c, h[: len(c)], axes=(0, 0))
-        return out
+        return self._contract(hermite_values(self.n_basis, t))
 
     def cumulative(self, t, i):
         """int_0^t phi_i(s) ds, exact via the Hermite antiderivative recurrence."""
         self._check_index(i)
-        c = self.components[i]
-        anti = hermite_antiderivatives(len(c), t)
-        return np.tensordot(c, anti, axes=(0, 0))
+        return self.cumulative_all(t)[i]
 
     def cumulative_all(self, t):
         """All components, shape (d,) + shape(t)."""
+        return self._contract(hermite_antiderivatives(self.n_basis, t))
+
+    def eval_and_cumulative(self, t):
+        """(phi(t), c(t)) with c(t) = int_0^t phi, each shape (d,) + shape(t),
+        from one Hermite table at the nodes [0, *t]."""
         t = np.asarray(t, dtype=float)
-        anti = hermite_antiderivatives(self.n_basis, t)
-        out = np.zeros((self.dimension,) + t.shape)
-        for i, c in enumerate(self.components):
-            out[i] = np.tensordot(c, anti[: len(c)], axes=(0, 0))
-        return out
+        h = hermite_values(self.n_basis + 1, np.append(0.0, t))
+        vals = self._contract(h[:-1, 1:]).reshape((-1,) + t.shape)
+        return vals, self._contract(_antiderivatives(h, t))
 
     def l2_norm(self):
         """L^2(R, R^d) norm; exact by Parseval in the orthonormal basis."""
@@ -147,29 +158,25 @@ class TestFunction:
         """Upper estimate of sup_t max_i |phi_i(t)|.
 
         Dense grid search over the essential support of the basis, refined by
-        parabolic interpolation around the best grid point, then inflated by a
-        relative 1e-10 so the result majorizes pointwise samples.
+        golden-section steps around each component's best grid point, then
+        inflated by a relative 1e-10 so the result majorizes pointwise samples.
         """
-        n = self.n_basis
-        half_width = np.sqrt(2.0 * (n + 1)) + 8.0
+        half_width = np.sqrt(2.0 * (self.n_basis + 1)) + 8.0
         t = np.linspace(-half_width, half_width, grid_points)
         vals = np.abs(self.eval_all(t))
-        best = 0.0
-        for i in range(self.dimension):
-            j = int(np.argmax(vals[i]))
-            lo = t[max(j - 1, 0)]
-            hi = t[min(j + 1, grid_points - 1)]
-            # golden-section style refinement on |phi_i|
-            for _ in range(60):
-                m1 = lo + (hi - lo) * 0.382
-                m2 = lo + (hi - lo) * 0.618
-                if abs(float(self.eval(m1, i))) >= abs(float(self.eval(m2, i))):
-                    hi = m2
-                else:
-                    lo = m1
-            cand = abs(float(self.eval(0.5 * (lo + hi), i)))
-            best = max(best, cand, float(vals[i, j]))
-        return best * (1.0 + 1e-10)
+        j = np.argmax(vals, axis=1)
+        lo = t[np.maximum(j - 1, 0)]
+        hi = t[np.minimum(j + 1, grid_points - 1)]
+        # golden-section style refinement on every |phi_i| at once: component
+        # i is read at its own bracket, the diagonal of the (d, 2, d) table
+        for _ in range(60):
+            m = lo + (hi - lo) * np.array([[0.382], [0.618]])
+            f = np.abs(np.diagonal(self.eval_all(m), axis1=0, axis2=2))
+            left = f[0] >= f[1]
+            hi = np.where(left, m[1], hi)
+            lo = np.where(left, lo, m[0])
+        cand = np.abs(np.diagonal(self.eval_all(0.5 * (lo + hi))))
+        return float(max(cand.max(), vals.max())) * (1.0 + 1e-10)
 
     def combined_norm(self):
         """sqrt(l2_norm^2 + sup_norm^2)."""

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import _lstsq_1d, default_cutoffs, divergence_scan
+from .diagnostics import _lstsq_1d
 from .errors import NonexistenceError
 from .quad import integrate_singular
 from .special import singular_mass_closed
@@ -122,8 +122,9 @@ def s_donsker(x, t, phi, z=1.0):
         raise ValueError(f"t must be > 0, got {t}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = len(x)
-    c = np.array([phi.cumulative(t, j) for j in range(d)])
-    q = np.sum((x - z * c) ** 2)
+    if phi.dimension != d:
+        raise ValueError("test function dimension does not match d")
+    q = np.sum((x - z * phi.cumulative_all(t)) ** 2)
     val = (_TWO_PI * t) ** (-d / 2.0) * np.exp(-q / (2.0 * t))
     if np.iscomplexobj(np.asarray(z)):
         return complex(val)
@@ -146,16 +147,18 @@ def _current_kernel(p, phi, i=None, z=1.0, eps2=0.0, order=None):
 
     def f(t):
         te = t + eps2
-        if order is None:
-            q = np.sum((x[:, None] - z * phi.cumulative_all(t)) ** 2, axis=0)
+        # one Hermite table per call: phi alone for order 1, phi and c otherwise
+        if order == 1:
+            v, c = phi.eval_all(t), None
         else:
-            q = r2
+            v, c = phi.eval_and_cumulative(t)
+        q = r2 if order else np.sum((x[:, None] - z * c) ** 2, axis=0)
         k = (_TWO_PI * te) ** (-d / 2.0) * np.exp(-q / (2.0 * te))
         if order is None:
             k = k * z
         elif order == 2:
-            k = k * (x @ phi.cumulative_all(t) / te)
-        return k * (phi.eval_all(t) if i is None else phi.eval(t, i))
+            k = k * (x @ c / te)
+        return k * (v if i is None else v[i])
 
     if eps2 > 0.0:
         return f, {"sing_exponent": 0.0}
@@ -228,20 +231,15 @@ def wick_product(F, G):
                        label=f"({F.label}) wick ({G.label})")
 
 
-def check_integrability(p, tol=1e-10):
-    """Mass int_0^T t^(-d/2) exp(-|x|^2/2t) dt, or a divergence report.
-
-    Returns a float on the existence region; for x = 0 with d > 1 returns
-    the DivergenceReport from the diagnostics scan (divergence is a result,
-    not an error here).
+def check_integrability(p):
+    """Mass int_0^T t^(-d/2) exp(-|x|^2/2t) dt in closed form, 2 sqrt(T) at
+    x = 0 with d = 1.  Raises NonexistenceError at x = 0 with d > 1, where
+    the mass diverges (diagnostics.divergence_scan classifies the rate).
     """
-    if not p.at_origin:
-        return singular_mass_closed(p.d, float(np.linalg.norm(p.x)), p.T)
-    if p.d == 1:
-        res = integrate_singular(lambda t: t ** -0.5, p.T,
-                                 sing_exponent=-0.5, tol=tol)
-        return res.value
-    return divergence_scan(p.d, p.T, default_cutoffs(p.T))
+    p.check_existence()
+    if p.at_origin:
+        return 2.0 * p.T ** 0.5
+    return singular_mass_closed(p.d, float(np.linalg.norm(p.x)), p.T)
 
 
 def fit_ufunctional_bound(F, phi, radii, angles_per_radius=16):

@@ -244,14 +244,6 @@ class TestSerialization:
         assert set(body) == {"mean", "stderr", "n_effective", "config"}
         assert body["n_effective"] == 512
 
-    def test_block_csv_emitted(self, tmp_path):
-        cfg = small_cfg(n_paths=2048, block_size=512)
-        path = tmp_path / "blocks.csv"
-        mc_s_transform(cfg, TestFunction([[0.2]]), csv_path=str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("block,n_paths")
-        assert len(lines) == 1 + cfg.n_blocks
-
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             MCConfig(d=1, T=1.0, x=(0.5, 0.3), n_paths=10, n_steps=10,

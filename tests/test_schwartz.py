@@ -161,6 +161,47 @@ class TestCumulative:
             assert np.allclose(allc[i], phi.cumulative(t, i), atol=1e-13)
 
 
+class TestRaggedComponents:
+    # components of lengths 1, 4 and 7 share one zero-padded coefficient
+    # matrix; each must evaluate as a test function of its own
+    COMPS = [[0.7],
+             [0.3, -1.1, 0.4, 0.25],
+             [-0.2, 0.5, 0.9, -0.6, 0.1, 0.35, -0.45]]
+
+    @pytest.mark.parametrize("t", [0.8, np.linspace(-3.0, 3.0, 9),
+                                   np.linspace(-2.0, 2.5, 12).reshape(3, 4)])
+    def test_every_evaluator_matches_single_components(self, t):
+        phi = TestFunction(self.COMPS)
+        vals, cums = phi.eval_and_cumulative(t)
+        evaluated = [(phi.eval(t, i), phi.eval_all(t)[i], vals[i],
+                      phi.cumulative(t, i), phi.cumulative_all(t)[i], cums[i])
+                     for i in range(3)]
+        for comp, got in zip(self.COMPS, evaluated):
+            single = TestFunction([comp])
+            want = [single.eval(t, 0)] * 3 + [single.cumulative(t, 0)] * 3
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(t)
+                assert np.max(np.abs(g - w)) <= 1e-14
+
+    def test_empty_component_evaluates_to_zero(self):
+        phi = TestFunction([[], [1.0]])
+        vals, cums = phi.eval_and_cumulative(np.array([0.3, 1.2]))
+        assert not vals[0].any() and not cums[0].any()
+        assert phi.sup_norm() == TestFunction([[1.0]]).sup_norm()
+
+    def test_sup_norm_is_max_over_components(self):
+        phi = TestFunction(self.COMPS)
+        singles = [TestFunction([c]).sup_norm() for c in self.COMPS]
+        assert phi.sup_norm() == pytest.approx(max(singles), rel=1e-12)
+        # make each component dominant in turn, so every row's refinement counts
+        for i, comp in enumerate(self.COMPS):
+            comps = [c if k != i else 10.0 * np.asarray(c)
+                     for k, c in enumerate(self.COMPS)]
+            expected = TestFunction([10.0 * np.asarray(comp)]).sup_norm()
+            assert TestFunction(comps).sup_norm() == pytest.approx(expected,
+                                                                   rel=1e-12)
+
+
 class TestCombinedNorm:
     def test_zero(self):
         assert TestFunction.zero(1).combined_norm() == 0.0

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hidacur import (CurrentParams, DivergenceReport, NonexistenceError,
+from hidacur import (CurrentParams, NonexistenceError,
                      TestFunction, UFunctional, check_integrability,
                      constant_ufunctional, donsker_ufunctional,
                      fit_ufunctional_bound, s_current, s_current_mollified,
                      s_donsker, s_white_noise, upper_incomplete_gamma,
                      wick_integrand_ufunctional, wick_product)
-from hidacur.stransform import export_record
+from hidacur import schwartz
+from hidacur.stransform import _current_kernel, export_record
 
 from conftest import random_phi
 
@@ -61,6 +62,10 @@ class TestDonsker:
         val = s_donsker([0.5], 1.0, phi, z=0.3 + 0.2j)
         assert isinstance(val, complex)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            s_donsker([0.5, 0.1], 1.0, TestFunction.zero(1))
+
 
 class TestSCurrent:
     def test_zero_phi_gives_zero_vector(self):
@@ -100,6 +105,25 @@ class TestSCurrent:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             s_current(CurrentParams([0.5], 1.0), TestFunction.zero(2, 2))
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"i": 1}, {"eps2": 0.05}, {"i": 0, "eps2": 0.05}, {"order": 1},
+        {"i": 1, "order": 1}, {"order": 2}, {"i": 0, "order": 2}])
+    def test_one_hermite_table_per_integrand_call(self, rng, monkeypatch, kw):
+        phi = random_phi(rng, 2, 5)
+        f, _ = _current_kernel(CurrentParams([0.4, -0.3], 1.0), phi, **kw)
+        t = np.linspace(0.05, 1.0, 7)
+        expected = f(t)
+        calls = []
+        table = schwartz.hermite_values
+
+        def counted(n_max, t):
+            calls.append(n_max)
+            return table(n_max, t)
+
+        monkeypatch.setattr(schwartz, "hermite_values", counted)
+        assert np.array_equal(f(t), expected)
+        assert len(calls) == 1
 
     def test_one_quadrature_matches_componentwise_integrals(self, rng):
         # the (d, n) vector quadrature against scipy per component
@@ -203,10 +227,10 @@ class TestCheckIntegrability:
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_origin_d2_divergent_log(self):
-        rep = check_integrability(CurrentParams([0.0, 0.0], 1.0))
-        assert isinstance(rep, DivergenceReport)
-        assert rep.verdict == "divergent"
-        assert rep.model == "log"
+        # the mass diverges (logarithmically, see TestExamples in
+        # test_diagnostics), so the check refuses it as s_current does
+        with pytest.raises(NonexistenceError):
+            check_integrability(CurrentParams([0.0, 0.0], 1.0))
 
 
 class TestFitUFunctionalBound:
