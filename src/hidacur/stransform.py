@@ -19,6 +19,11 @@ raised (that negative outcome is quantified in the diagnostics module).
 One integrand (_current_kernel) serves every component, the mollification
 and the chaos kernels (its z^1 and z^2 Taylor coefficients).  s_current and
 s_current_mollified integrate all d components in one vector quadrature.
+
+A U-functional F(z, phi) takes a scalar z or a 1-d array of z and returns a
+result of the same shape (a Python float or complex for a scalar z), so a
+caller that needs F at many z makes one call: phi(t) and c(t) do not depend
+on z and are computed once.
 """
 
 from __future__ import annotations
@@ -67,8 +72,10 @@ class CurrentParams:
             d = len(x)
         if len(x) != d or d < 1:
             raise ValueError(f"x must have length d={d}")
-        if not T > 0.0:
-            raise ValueError(f"T must be > 0, got {T}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"x must be finite, got {x.tolist()}")
+        if not 0.0 < T < np.inf:
+            raise ValueError(f"T must be finite and > 0, got {T}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "T", float(T))
         object.__setattr__(self, "d", int(d))
@@ -88,7 +95,11 @@ class CurrentParams:
 
 @dataclass(frozen=True)
 class UFunctional:
-    """An evaluable map (z, phi) -> complex with a descriptive label."""
+    """An evaluable map (z, phi) -> complex with a descriptive label.
+
+    func(z, phi) accepts a scalar z or a 1-d array of z and returns a
+    result of the same shape; a scalar z gives a Python float or complex.
+    """
 
     func: Callable
     label: str = ""
@@ -115,7 +126,8 @@ def s_white_noise(phi, t, i):
 def s_donsker(x, t, phi, z=1.0):
     """S-transform of the Donsker delta at (x, t), evaluated at z*phi.
 
-    Returns a float for real z, complex otherwise.  The square in the
+    z may be a scalar, giving a float for real z and a complex otherwise,
+    or a 1-d array, giving an array of the same shape.  The square in the
     exponent is the bilinear one, matching the entire extension in z.
     """
     if not t > 0.0:
@@ -124,8 +136,11 @@ def s_donsker(x, t, phi, z=1.0):
     d = len(x)
     if phi.dimension != d:
         raise ValueError("test function dimension does not match d")
-    q = np.sum((x - z * phi.cumulative_all(t)) ** 2)
+    # c(t) once; row k of the outer product is z_k c(t)
+    q = np.sum((x - np.multiply.outer(z, phi.cumulative_all(t))) ** 2, axis=-1)
     val = (_TWO_PI * t) ** (-d / 2.0) * np.exp(-q / (2.0 * t))
+    if np.ndim(z):
+        return val
     if np.iscomplexobj(np.asarray(z)):
         return complex(val)
     return float(val)
@@ -134,9 +149,10 @@ def s_donsker(x, t, phi, z=1.0):
 def _current_kernel(p, phi, i=None, z=1.0, eps2=0.0, order=None):
     """(f, opts) for integrate_singular(f, p.T, tol=..., **opts), where
     f(t) = (2 pi te)^(-d/2) exp(-|x - z c(t)|^2 / 2te) z phi(t), te = t + eps2,
-    as (d, n) for all components (i None) or (n,) for component i.  order=1
-    or 2 takes the z^1 or z^2 Taylor coefficient, the first or second chaos
-    kernel: exp(-|x|^2 / 2te) phi(t), times (x . c(t)) / te for order 2.
+    as (d, n) for all components (i None) or (n,) for component i.  An (m,)
+    array z (order None, component i) gives one row per z, shape (m, n).
+    order=1 or 2 takes the z^1 or z^2 Taylor coefficient, the first or second
+    chaos kernel: exp(-|x|^2 / 2te) phi(t), times (x . c(t)) / te for order 2.
     eps2 > 0 bounds the kernel: exponent 0 and no existence check."""
     if eps2 == 0.0:
         p.check_existence()
@@ -144,6 +160,8 @@ def _current_kernel(p, phi, i=None, z=1.0, eps2=0.0, order=None):
         raise ValueError("test function dimension does not match d")
     x, d = p.x, p.d
     r2 = float(np.dot(x, x))
+    # z as a column for the (m, n) rows; a scalar z takes none of the reshapes
+    zcol = np.asarray(z)[:, None] if np.ndim(z) else None
 
     def f(t):
         te = t + eps2
@@ -152,10 +170,15 @@ def _current_kernel(p, phi, i=None, z=1.0, eps2=0.0, order=None):
             v, c = phi.eval_all(t), None
         else:
             v, c = phi.eval_and_cumulative(t)
-        q = r2 if order else np.sum((x[:, None] - z * c) ** 2, axis=0)
+        if order:
+            q = r2
+        elif zcol is None:
+            q = np.sum((x[:, None] - z * c) ** 2, axis=0)
+        else:
+            q = np.sum((x[:, None, None] - zcol * c[:, None]) ** 2, axis=0)
         k = (_TWO_PI * te) ** (-d / 2.0) * np.exp(-q / (2.0 * te))
         if order is None:
-            k = k * z
+            k = k * (z if zcol is None else zcol)
         elif order == 2:
             k = k * (x @ c / te)
         return k * (v if i is None else v[i])
@@ -193,14 +216,17 @@ def s_current_mollified(p, phi, eps2, tol=1e-10, full_output=False):
 
 
 def current_ufunctional(p, i, tol=1e-12):
-    """Component i of the current S-transform as a U-functional in z."""
+    """Component i of the current S-transform as a U-functional in z.
+
+    A vector of z is integrated in one quadrature, each z a row held to tol
+    on one shared mesh."""
 
     def f(z, phi):
-        z = complex(z)
-        g, opts = _current_kernel(p, phi, i, z=z)
-        if z == 0.0:
-            return 0.0 + 0.0j
-        return complex(integrate_singular(g, p.T, tol=tol, **opts).value)
+        z = np.asarray(z, dtype=complex)
+        g, opts = _current_kernel(p, phi, i, z=z if z.ndim else complex(z))
+        value = (integrate_singular(g, p.T, tol=tol, **opts).value
+                 if np.any(z) else np.zeros_like(z))
+        return value if z.ndim else complex(value)
 
     return UFunctional(f, label=f"S xi_{i}(x={p.x.tolist()}, T={p.T})")
 
@@ -222,11 +248,13 @@ def wick_integrand_ufunctional(x, t, i):
 
 def constant_ufunctional(c, label=None):
     """S-transform of the constant c (the unit for the Wick product at c=1)."""
-    return UFunctional(lambda z, phi: c, label=label or f"const {c}")
+    return UFunctional(lambda z, phi: np.full(np.shape(z), c) if np.ndim(z) else c,
+                       label=label or f"const {c}")
 
 
 def wick_product(F, G):
-    """Wick product on the S-transform side: pointwise product."""
+    """Wick product on the S-transform side: pointwise product, elementwise
+    over a vector of z."""
     return UFunctional(lambda z, phi: F(z, phi) * G(z, phi),
                        label=f"({F.label}) wick ({G.label})")
 
@@ -245,21 +273,20 @@ def check_integrability(p):
 def fit_ufunctional_bound(F, phi, radii, angles_per_radius=16):
     """Fit |F(z phi)| <= C1 exp(C2 |z|^2 ||phi||^2) from ray samples.
 
-    Samples z = r e^(i theta); takes the max of log|F| over angles at each
-    radius, least-squares fits the quadratic growth coefficient with
-    tail-emphasizing weights r^2 (0 from a single radius), then inflates C1
-    so every sample satisfies the bound (the definition demands a majorant,
-    not a best fit).
+    Samples z = r e^(i theta) in one call of F over all radii and angles;
+    takes the max of log|F| over angles at each radius, least-squares fits
+    the quadratic growth coefficient with tail-emphasizing weights r^2 (0
+    from a single radius), then inflates C1 so every sample satisfies the
+    bound (the definition demands a majorant, not a best fit).
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or not np.all(radii > 0.0):
         raise ValueError("radii must be nonempty and positive")
     nrm2 = phi.combined_norm() ** 2
     thetas = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
-    y = np.empty(radii.size)
-    for k, r in enumerate(radii):
-        mags = [abs(F(r * np.exp(1j * th), phi)) for th in thetas]
-        y[k] = np.log(max(max(mags), 1e-300))
+    z = (radii[:, None] * np.exp(1j * thetas)).ravel()
+    mags = np.abs(np.broadcast_to(F(z, phi), z.shape)).reshape(radii.size, -1)
+    y = np.log(np.maximum(mags.max(axis=1), 1e-300))
     u = radii ** 2 * nrm2
     _, slope, _ = _lstsq_1d(u, y, radii ** 2)
     c2 = max(slope, 0.0)

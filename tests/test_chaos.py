@@ -73,15 +73,33 @@ class TestExtraction:
             assert cs == pytest.approx(cd_rich, abs=1e-9)
 
     def test_unstable_derivative_raises(self, rng):
-        state = {"n": 0}
-
         def noisy(z, phi):
-            state["n"] += 1
-            return complex(z) + 1e-3 * (-1) ** state["n"] * 1j
+            # noise of alternating sign on each element of a z vector
+            z = np.asarray(z, dtype=complex)
+            sign = (-1.0) ** np.arange(1, z.size + 1)
+            return z + 1e-3 * sign.reshape(z.shape) * 1j
 
         with pytest.raises(UnstableDerivativeError):
             extract_chaos_pairing(UFunctional(noisy, "noisy"),
                                   random_phi(rng, 1, 3), 1)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_current_extraction_is_one_quadrature(self, rng, monkeypatch, n):
+        # every step of the estimate shares one vector quadrature
+        from hidacur import stransform
+
+        calls = []
+        integrate = stransform.integrate_singular
+
+        def counted(f, *args, **kwargs):
+            calls.append(1)
+            return integrate(f, *args, **kwargs)
+
+        monkeypatch.setattr(stransform, "integrate_singular", counted)
+        phi = random_phi(rng, 2, 5)
+        p = CurrentParams([0.7, -0.4], 1.0)
+        extract_chaos_pairing(current_ufunctional(p, 1, tol=1e-13), phi, n)
+        assert len(calls) == 1
 
     def test_bad_order(self, rng):
         with pytest.raises(ValueError):

@@ -50,6 +50,14 @@ class TestExitCodes:
         assert main(["stransform", "--config", cfg,
                      "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("x, T", [
+        ([float("inf")], 1.0), ([float("nan")], 1.0), ([0.5], float("inf"))])
+    def test_non_finite_input_is_config_error(self, tmp_path, x, T):
+        cfg = write_config(tmp_path, "c.json", {
+            "x": x, "T": T, "phi": phi_ref([[1.0, 0.5]])})
+        assert main(["stransform", "--config", cfg,
+                     "--out", str(tmp_path)]) == 2
+
     def test_bad_seed_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"T": 1.0})
         assert main(["diverge", "--config", cfg, "--seed", str(2 ** 64)]) == 2

@@ -10,12 +10,22 @@ from hidacur import (CurrentParams, NonexistenceError,
                      fit_ufunctional_bound, s_current, s_current_mollified,
                      s_donsker, s_white_noise, upper_incomplete_gamma,
                      wick_integrand_ufunctional, wick_product)
-from hidacur import schwartz
-from hidacur.stransform import _current_kernel, export_record
+from hidacur import schwartz, stransform
+from hidacur.stransform import (_current_kernel, current_ufunctional,
+                                export_record)
 
 from conftest import random_phi
 
 PI14 = np.pi ** (-0.25)
+
+
+class TestCurrentParams:
+    @pytest.mark.parametrize("x, T", [
+        ([np.inf], 1.0), ([0.5, -np.inf], 1.0), ([np.nan], 1.0),
+        ([0.5], np.inf), ([0.5], np.nan), ([0.5], 0.0)])
+    def test_rejects_non_finite_or_non_positive(self, x, T):
+        with pytest.raises(ValueError):
+            CurrentParams(x, T)
 
 
 class TestWhiteNoise:
@@ -216,6 +226,60 @@ class TestWickProduct:
             assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
+class TestBatchedZ:
+    ZS = np.array([0.3, -1.2, 0.0, 0.2 + 0.4j, -2.0 + 1.0j, 3.0j])
+
+    def test_closed_forms_match_scalar_calls(self, rng):
+        for d in (1, 2, 3):
+            phi = random_phi(rng, d, 5)
+            x = rng.uniform(-1.5, 1.5, size=d)
+            t = float(rng.uniform(0.3, 2.0))
+            for F in (donsker_ufunctional(x, t),
+                      wick_integrand_ufunctional(x, t, d - 1)):
+                batched = F(self.ZS, phi)
+                assert batched.shape == self.ZS.shape
+                for z, v in zip(self.ZS, batched):
+                    assert v == pytest.approx(F(complex(z), phi), rel=1e-14)
+
+    def test_real_vector_stays_real_and_scalars_stay_python(self, rng):
+        phi = random_phi(rng, 2, 4)
+        zs = np.array([0.5, 1.0, 2.0])
+        assert s_donsker([0.3, 0.1], 0.8, phi, zs).dtype == float
+        assert type(s_donsker([0.3, 0.1], 0.8, phi, 0.5)) is float
+        assert type(s_donsker([0.3, 0.1], 0.8, phi, 0.5j)) is complex
+        F = current_ufunctional(CurrentParams([0.3, 0.1], 1.0), 0)
+        assert type(F(0.5, phi)) is complex
+
+    def test_current_matches_scalar_calls_within_tol(self, rng):
+        tol = 1e-12
+        for d in (1, 2, 3):
+            phi = random_phi(rng, d, 5)
+            p = CurrentParams(rng.uniform(0.3, 1.2, size=d), 1.0)
+            F = current_ufunctional(p, d - 1, tol=tol)
+            batched = F(self.ZS, phi)
+            assert batched.shape == self.ZS.shape
+            for z, v in zip(self.ZS, batched):
+                assert abs(v - F(z, phi)) <= 2.0 * tol
+
+    def test_zero_vector_runs_no_quadrature(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("quadrature at z = 0")
+
+        monkeypatch.setattr(stransform, "integrate_singular", fail)
+        F = current_ufunctional(CurrentParams([0.5], 1.0), 0)
+        out = F(np.zeros(3), random_phi(rng, 1, 3))
+        assert out.shape == (3,) and not np.any(out)
+        assert F(0.0, random_phi(rng, 1, 3)) == 0.0
+
+    def test_constant_and_product_broadcast(self, rng):
+        phi = random_phi(rng, 1, 4)
+        F = donsker_ufunctional([0.5], 0.7)
+        G = constant_ufunctional(2.5)
+        assert np.array_equal(G(self.ZS, phi), np.full(self.ZS.shape, 2.5))
+        FG = wick_product(F, G)(self.ZS, phi)
+        assert np.array_equal(FG, F(self.ZS, phi) * 2.5)
+
+
 class TestCheckIntegrability:
     def test_d1_origin_is_two_sqrt_T(self):
         val = check_integrability(CurrentParams([0.0], 1.0))
@@ -245,7 +309,8 @@ class TestFitUFunctionalBound:
         # F(z phi) = exp(z^2) with ||phi|| = 1 must fit C2 >= 1
         phi = random_phi(rng, 1, 4)
         phi = phi.scaled(1.0 / phi.combined_norm())
-        F = UFunctional(lambda z, p: np.exp(complex(z) ** 2), "exp(z^2)")
+        F = UFunctional(lambda z, p: np.exp(np.asarray(z, dtype=complex) ** 2),
+                        "exp(z^2)")
         fit = fit_ufunctional_bound(F, phi, np.geomspace(1.0, 6.0, 6))
         assert fit.C2 >= 1.0 - 1e-6
 
