@@ -4,10 +4,10 @@ Chaos-kernel pairings of the current
 
 The n-th chaos pairing is the n-th Taylor coefficient of the S-transform
 along a ray: (1/n!) d^n/ds^n U(s phi) at s = 0.  The toolkit extracts these
-numerically (complex-step for n=1, Richardson central differences beyond)
-and ships closed forms for orders 1 and 2.  The second-order closed form
+numerically from one FFT of U on a small circle (the trapezoidal rule) and
+ships closed forms for orders 1 and 2.  The second-order closed form
 exists in two conventions that differ by a factor of -2; the numeric
-derivative arbitrates between them.
+extraction arbitrates between them.
 """
 
 import numpy as np
@@ -31,7 +31,7 @@ closed1 = first_chaos_pairing_closed(p, phi, 0)
 print(f"order 1: numeric {num1.value:.12f}  closed {closed1:.12f}  "
       f"diff {abs(num1.value - closed1):.2e}")
 
-# order 2: the numeric derivative decides between the two conventions
+# order 2: the numeric extraction decides between the two conventions
 num2 = extract_chaos_pairing(F, phi, 2)
 deriv = second_chaos_pairing_closed(p, phi, 0, convention="derivative")
 paper = second_chaos_pairing_closed(p, phi, 0, convention="paper")

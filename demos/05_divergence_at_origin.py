@@ -22,6 +22,8 @@ for d in range(1, 7):
         note = f"exponent 1 - d/2 = {1 - d / 2:g}"
     print(f"{d:>2} {rep.verdict:>10} {rep.model:>8} {rep.rate:>9.4f}  {note}")
 
-# tidy CSV of (cutoff, mass) pairs for external plotting
-print("\nCSV for d=2:")
-print(divergence_scan(2, T, default_cutoffs(T, k=4)).to_csv())
+# the (cutoff, mass) pairs behind the d = 2 verdict
+print("\n(delta, mass) for d=2:")
+rep = divergence_scan(2, T, default_cutoffs(T, k=4))
+for delta, mass in zip(rep.cutoffs, rep.masses):
+    print(f"{delta:8.0e} {mass:10.6f}")

@@ -14,8 +14,6 @@ masses are antiderivatives, exact up to rounding.  Tail-weighted fitting
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -43,15 +41,6 @@ class DivergenceReport:
             "model": self.model, "rate": self.rate,
             "residual": self.residual, "verdict": self.verdict,
         })
-
-    def to_csv(self):
-        """Tidy (delta, mass) rows for plotting."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["delta", "mass"])
-        for delta, m in zip(self.cutoffs, self.masses):
-            writer.writerow([repr(float(delta)), repr(float(m))])
-        return buf.getvalue()
 
 
 def default_cutoffs(T, k=8):

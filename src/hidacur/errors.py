@@ -21,4 +21,4 @@ class IntegrandFailureError(RuntimeError):
 
 
 class UnstableDerivativeError(RuntimeError):
-    """Numeric derivative estimates at two step sizes disagree beyond tolerance."""
+    """The full and half contour sums of a chaos pairing disagree beyond tolerance."""

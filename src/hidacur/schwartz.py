@@ -174,11 +174,12 @@ class TestFunction:
         """Upper estimate of sup_t max_i |phi_i(t)|.
 
         Dense grid search over the essential support of the basis, refined by
-        30 golden-section steps around each component's best grid point, then
-        inflated by a relative 1e-10 so the result majorizes pointwise samples.
-        The bracket starts two grid steps wide (about 0.01) and each step
-        keeps 0.618 of it, so it ends under 1e-8 wide and the value error near
-        the maximum, O(|phi''| width^2), stays far below the inflation.
+        4 Newton steps on phi_i' = 0 from each component's best grid point
+        (quadratic convergence from within 0.01, each step clamped to the two
+        grid steps around it), then inflated by a relative 1e-10 so the
+        result majorizes pointwise samples.  phi' and phi'' come from one
+        table of n_basis + 1 rows: h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2)
+        h_{k+1} and h_k'' = (t^2 - 2k - 1) h_k.
         """
         half_width = np.sqrt(2.0 * (self.n_basis + 1)) + 8.0
         t = np.linspace(-half_width, half_width, grid_points)
@@ -186,15 +187,17 @@ class TestFunction:
         j = np.argmax(vals, axis=1)
         lo = t[np.maximum(j - 1, 0)]
         hi = t[np.minimum(j + 1, grid_points - 1)]
-        # golden-section style refinement on every |phi_i| at once: component
-        # i is read at its own bracket, the diagonal of the (d, 2, d) table
-        for _ in range(30):
-            m = lo + (hi - lo) * np.array([[0.382], [0.618]])
-            f = np.abs(np.diagonal(self.eval_all(m), axis1=0, axis2=2))
-            left = f[0] >= f[1]
-            hi = np.where(left, m[1], hi)
-            lo = np.where(left, lo, m[0])
-        cand = np.abs(np.diagonal(self.eval_all(0.5 * (lo + hi))))
+        k = np.arange(self.n_basis)[:, None]
+        up, down = np.sqrt(k / 2.0), np.sqrt((k + 1) / 2.0)
+        s = t[j]  # component i is refined at its own point s_i
+        for _ in range(4):
+            h = hermite_values(self.n_basis + 1, s)
+            dh = up * np.vstack([np.zeros_like(s), h[:-2]]) - down * h[1:]
+            ddh = (s * s - 2 * k - 1) * h[:-1]
+            d1, d2 = (np.einsum("ik,ki->i", self._coef, a) for a in (dh, ddh))
+            newton = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0.0)
+            s = np.clip(s - newton, lo, hi)
+        cand = np.abs(np.diagonal(self.eval_all(s)))
         return float(max(cand.max(), vals.max())) * (1.0 + 1e-10)
 
     def combined_norm(self):

@@ -17,8 +17,10 @@ dimension 1; for d > 1 the integral diverges and NonexistenceError is
 raised (that negative outcome is quantified in the diagnostics module).
 
 One integrand (_current_kernel) serves every component, the mollification
-and the chaos kernels (its z^1 and z^2 Taylor coefficients).  s_current and
-s_current_mollified integrate all d components in one vector quadrature.
+and the chaos kernels of every order: its z^n Taylor coefficients, from one
+Hermite-type recurrence.  At the origin the kernels of odd order n < d
+diverge and the others stay finite.  s_current and s_current_mollified
+integrate all d components in one vector quadrature.
 
 A U-functional F(z, phi) takes a scalar z or a 1-d array of z and returns a
 result of the same shape (a Python float or complex for a scalar z), so a
@@ -151,15 +153,28 @@ def _current_kernel(p, phi, i=None, z=1.0, eps2=0.0, order=None):
     f(t) = (2 pi te)^(-d/2) exp(-|x - z c(t)|^2 / 2te) z phi(t), te = t + eps2,
     as (d, n) for all components (i None) or (n,) for component i.  An (m,)
     array z (order None, component i) gives one row per z, shape (m, n).
-    order=1 or 2 takes the z^1 or z^2 Taylor coefficient, the first or second
-    chaos kernel: exp(-|x|^2 / 2te) phi(t), times (x . c(t)) / te for order 2.
+    order=n >= 1 takes the z^n Taylor coefficient, the n-th chaos kernel
+    G_{n-1}(a, b) (2 pi te)^(-d/2) exp(-|x|^2 / 2te) phi(t): with
+    a = x . c(t) / te and b = |c(t)|^2 / te, exp(z a - z^2 b / 2) =
+    sum_k G_k z^k, G_0 = 1, G_1 = a, G_{k+1} = (a G_k - b G_{k-1}) / (k + 1).
+    At x = 0, a = 0, so G_{n-1} = 0 for even n and O(t^((n-1)/2)) for odd n.
     eps2 > 0 bounds the kernel: exponent 0 and no existence check."""
-    if eps2 == 0.0:
-        p.check_existence()
-    if phi.dimension != p.d:
-        raise ValueError("test function dimension does not match d")
     x, d = p.x, p.d
     r2 = float(np.dot(x, x))
+    if eps2 > 0.0:
+        opts = {"sing_exponent": 0.0}
+    elif order and order > 1 and p.at_origin:
+        exponent = (order - 1 - d) / 2.0 if order % 2 else 0.0
+        if exponent <= -1.0:
+            raise NonexistenceError(f"x=0 with d={d}: the order-{order} chaos "
+                                    f"kernel is O(t^{exponent:g}), not integrable")
+        opts = {"sing_exponent": exponent, "damping": None}
+    else:
+        p.check_existence()
+        opts = {"sing_exponent": -d / 2.0,
+                "damping": None if p.at_origin else r2 / 2.0}
+    if phi.dimension != d:
+        raise ValueError("test function dimension does not match d")
     # z as a column for the (m, n) rows; a scalar z takes none of the reshapes
     zcol = np.asarray(z)[:, None] if np.ndim(z) else None
 
@@ -179,14 +194,16 @@ def _current_kernel(p, phi, i=None, z=1.0, eps2=0.0, order=None):
         k = (_TWO_PI * te) ** (-d / 2.0) * np.exp(-q / (2.0 * te))
         if order is None:
             k = k * (z if zcol is None else zcol)
-        elif order == 2:
-            k = k * (x @ c / te)
+        elif order > 1:
+            a = x @ c / te
+            b = np.sum(c * c, axis=0) / te if order > 2 else 0.0
+            g_prev, g = 0.0, 1.0  # G_{-1}, G_0
+            for m in range(order - 1):
+                g_prev, g = g, (a * g - b * g_prev) / (m + 1)
+            k = k * g
         return k * (v if i is None else v[i])
 
-    if eps2 > 0.0:
-        return f, {"sing_exponent": 0.0}
-    damping = None if p.at_origin else r2 / 2.0
-    return f, {"sing_exponent": -d / 2.0, "damping": damping}
+    return f, opts
 
 
 def s_current(p, phi, tol=1e-10, full_output=False):
@@ -294,15 +311,3 @@ def fit_ufunctional_bound(F, phi, radii, angles_per_radius=16):
     return BoundFit(C1=float(np.exp(log_c1)), C2=float(c2),
                     norm_used="combined", samples=int(radii.size * angles_per_radius))
 
-
-def export_record(p, phi, values, tol, results=None):
-    """JSON-able record {params, phi_ref, value[], tol, node_count}."""
-    node_count = sum(r.node_count for r in results) if results else None
-    return {
-        "params": {"x": p.x.tolist(), "T": p.T, "d": p.d},
-        "phi_ref": {"d": phi.dimension,
-                    "components": [c.tolist() for c in phi.components]},
-        "value": np.atleast_1d(values).tolist(),
-        "tol": tol,
-        "node_count": node_count,
-    }

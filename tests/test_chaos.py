@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hidacur import (CurrentParams, NonexistenceError,
-                     TestFunction, UFunctional, UnstableDerivativeError,
+                     TestFunction, UFunctional, UnstableDerivativeError, chaos,
                      extract_chaos_pairing, first_chaos_pairing_closed,
                      second_chaos_pairing_closed)
 from hidacur.stransform import (current_ufunctional, donsker_ufunctional,
@@ -59,8 +60,9 @@ class TestExtraction:
             scaled = extract_chaos_pairing(F, phi.scaled(lam), n).value
             assert scaled == pytest.approx(lam ** n * base, abs=1e-8)
 
-    def test_complex_step_agrees_with_central_difference(self, rng):
-        # mutual validation of the two order-1 differentiation routes
+    def test_contour_agrees_with_central_difference(self, rng):
+        # the contour sum against an independent Richardson-extrapolated
+        # central difference on the real axis
         for _ in range(10):
             phi = random_phi(rng, 1, 4)
             F = donsker_ufunctional([float(rng.uniform(-1, 1))], 1.0)
@@ -73,19 +75,27 @@ class TestExtraction:
             assert cs == pytest.approx(cd_rich, abs=1e-9)
 
     def test_unstable_derivative_raises(self, rng):
-        def noisy(z, phi):
+        noise = np.random.default_rng(5)
+
+        def alternating(z, phi):
             # noise of alternating sign on each element of a z vector
             z = np.asarray(z, dtype=complex)
             sign = (-1.0) ** np.arange(1, z.size + 1)
             return z + 1e-3 * sign.reshape(z.shape) * 1j
 
-        with pytest.raises(UnstableDerivativeError):
-            extract_chaos_pairing(UFunctional(noisy, "noisy"),
-                                  random_phi(rng, 1, 3), 1)
+        def gaussian(z, phi):
+            # seeded Gaussian noise of size 1e-3 on each element
+            z = np.asarray(z, dtype=complex)
+            return z + 1e-3 * noise.normal(size=z.shape)
 
-    @pytest.mark.parametrize("n", [1, 2])
+        for noisy in (alternating, gaussian):
+            with pytest.raises(UnstableDerivativeError):
+                extract_chaos_pairing(UFunctional(noisy, "noisy"),
+                                      random_phi(rng, 1, 3), 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_current_extraction_is_one_quadrature(self, rng, monkeypatch, n):
-        # every step of the estimate shares one vector quadrature
+        # every contour point shares one vector quadrature
         from hidacur import stransform
 
         calls = []
@@ -102,9 +112,11 @@ class TestExtraction:
         assert len(calls) == 1
 
     def test_bad_order(self, rng):
-        with pytest.raises(ValueError):
-            extract_chaos_pairing(donsker_ufunctional([0.5], 1.0),
-                                  random_phi(rng, 1, 3), -1)
+        # negative, or beyond what the half sum of the contour resolves
+        for n in (-1, chaos._N_CONTOUR // 2):
+            with pytest.raises(ValueError):
+                extract_chaos_pairing(donsker_ufunctional([0.5], 1.0),
+                                      random_phi(rng, 1, 3), n)
 
 
 class TestFirstChaosClosed:
@@ -165,6 +177,58 @@ class TestSecondChaosClosed:
             second_chaos_pairing_closed(CurrentParams([0.5], 1.0),
                                         TestFunction.zero(1), 0,
                                         convention="other")
+
+
+class TestHigherOrderClosed:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_recurrence_matches_contour(self, rng, n, d):
+        for _ in range(3):
+            x = rng.uniform(0.4, 1.5, size=d) * rng.choice([-1.0, 1.0], size=d)
+            i = int(rng.integers(0, d))
+            p = CurrentParams(x, 1.0)
+            phi = random_phi(rng, d, 5)
+            numeric = extract_chaos_pairing(
+                current_ufunctional(p, i, tol=1e-13), phi, n)
+            closed = chaos._closed_pairing(p, phi, i, n, 1e-13)
+            assert numeric.value == pytest.approx(closed, abs=1e-10)
+
+
+class TestOrdersAtOrigin:
+    """At x = 0 the order-n kernel is O(t^((n-1)/2 - d/2)) for odd n and 0
+    for even n: the divergence of the current lives in the odd orders n < d."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_odd_low_orders_diverge_even_vanish(self, rng, d):
+        phi = random_phi(rng, d, 5)
+        p = CurrentParams(np.zeros(d), 1.0)
+        with pytest.raises(NonexistenceError):
+            first_chaos_pairing_closed(p, phi, 0)
+        assert second_chaos_pairing_closed(p, phi, 0) == 0.0
+        # order 3: -(1/2)(2 pi)^(-d/2) int_0^1 t^(-d/2-1) |c(t)|^2 phi_0(t) dt
+        got = chaos._closed_pairing(p, phi, 0, 3, 1e-10)
+
+        def integrand(t):
+            c = phi.cumulative_all(t)
+            return t ** (-d / 2 - 1) * np.dot(c, c) * phi.eval(t, 0)
+
+        oracle = -0.5 * (2 * np.pi) ** (-d / 2) * quad(
+            integrand, 0.0, 1.0, epsabs=1e-13, limit=200)[0]
+        assert np.isfinite(got)
+        assert got == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_order_three_is_continuous_at_origin(self, rng, d):
+        phi = random_phi(rng, d, 5)
+        v0 = chaos._closed_pairing(CurrentParams(np.zeros(d), 1.0), phi, 0, 3,
+                                   1e-10)
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        gaps = [abs(chaos._closed_pairing(CurrentParams(r * u, 1.0), phi, 0,
+                                          3, 1e-10) - v0)
+                for r in (1e-2, 1e-3, 1e-4)]
+        assert gaps[1] < gaps[0] / 5 and gaps[2] < gaps[1] / 5
+        assert gaps[2] < 1e-3 * abs(v0)
 
 
 class TestTruncatedReconstruction:

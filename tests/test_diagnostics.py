@@ -86,13 +86,3 @@ class TestSerialization:
         assert body["verdict"] == "divergent"
         assert body["d"] == 2
         assert len(body["cutoffs"]) == len(body["masses"])
-
-    def test_csv_shape(self):
-        rep = divergence_scan(3, 1.0, default_cutoffs(1.0))
-        lines = rep.to_csv().strip().splitlines()
-        assert lines[0] == "delta,mass"
-        assert len(lines) == 1 + len(rep.cutoffs)
-        # repr round-trip: parsing a row reproduces the float exactly
-        delta, mass = lines[1].split(",")
-        assert float(delta) == rep.cutoffs[0]
-        assert float(mass) == rep.masses[0]

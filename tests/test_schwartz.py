@@ -109,6 +109,31 @@ class TestSupNorm:
         expected = np.sqrt(2.0) * PI14 * np.exp(-0.5)
         assert phi.sup_norm() == pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("k, peak", [
+        (1, np.sqrt(2.0) * PI14 * np.exp(-0.5)),
+        # h_2 = (2t^2 - 1) pi^(-1/4) e^(-t^2/2) / sqrt(2) peaks at t^2 = 5/2
+        (2, 2.0 * np.sqrt(2.0) * PI14 * np.exp(-1.25))])
+    def test_refinement_reaches_the_peak_within_the_inflation(self, k, peak):
+        s = TestFunction.basis_element(1, 0, k).sup_norm()
+        assert peak <= s <= peak * (1.0 + 2e-10)
+
+    def test_refinement_tables_are_few(self, rng, monkeypatch):
+        # one grid table plus one table per Newton step and one at the end
+        from hidacur import schwartz
+
+        phi = random_phi(rng, 3, 5)
+        expected = phi.sup_norm()
+        calls = []
+        table = schwartz.hermite_values
+
+        def counted(n_max, t):
+            calls.append(n_max)
+            return table(n_max, t)
+
+        monkeypatch.setattr(schwartz, "hermite_values", counted)
+        assert phi.sup_norm() == expected
+        assert len(calls) <= 6
+
     def test_majorizes_pointwise_values(self, rng):
         phi = random_phi(rng, 2, 8)
         s = phi.sup_norm()

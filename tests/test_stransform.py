@@ -11,8 +11,7 @@ from hidacur import (CurrentParams, NonexistenceError,
                      s_donsker, s_white_noise, upper_incomplete_gamma,
                      wick_integrand_ufunctional, wick_product)
 from hidacur import schwartz, stransform
-from hidacur.stransform import (_current_kernel, current_ufunctional,
-                                export_record)
+from hidacur.stransform import _current_kernel, current_ufunctional
 
 from conftest import random_phi
 
@@ -118,7 +117,8 @@ class TestSCurrent:
 
     @pytest.mark.parametrize("kw", [
         {}, {"i": 1}, {"eps2": 0.05}, {"i": 0, "eps2": 0.05}, {"order": 1},
-        {"i": 1, "order": 1}, {"order": 2}, {"i": 0, "order": 2}])
+        {"i": 1, "order": 1}, {"order": 2}, {"i": 0, "order": 2}, {"order": 3},
+        {"i": 1, "order": 5}])
     def test_one_hermite_table_per_integrand_call(self, rng, monkeypatch, kw):
         phi = random_phi(rng, 2, 5)
         f, _ = _current_kernel(CurrentParams([0.4, -0.3], 1.0), phi, **kw)
@@ -153,15 +153,6 @@ class TestSCurrent:
 
                 oracle, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, limit=400)
                 assert vals[i] == pytest.approx(oracle, abs=1e-9)
-
-    def test_export_record(self, rng):
-        phi = random_phi(rng, 1, 4)
-        p = CurrentParams([0.5], 1.0)
-        vals, results = s_current(p, phi, tol=1e-10, full_output=True)
-        rec = export_record(p, phi, vals, 1e-10, results)
-        assert rec["params"]["d"] == 1
-        assert rec["value"] == list(vals)
-        assert rec["node_count"] > 0
 
 
 class TestMollified:
