@@ -7,7 +7,8 @@ class NonexistenceError(ValueError):
 
 
 class QuadratureBudgetError(RuntimeError):
-    """Node budget exhausted before reaching the requested tolerance.
+    """Quadrature could not meet the requested tolerance: the node budget ran
+    out, or the summed error estimate misses tol.
 
     Carries the best estimate so far in .best_estimate."""
 

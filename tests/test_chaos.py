@@ -7,9 +7,9 @@ from scipy.integrate import quad
 from hidacur import (CurrentParams, NonexistenceError,
                      TestFunction, UFunctional, UnstableDerivativeError, chaos,
                      extract_chaos_pairing, first_chaos_pairing_closed,
-                     second_chaos_pairing_closed)
-from hidacur.stransform import (current_ufunctional, donsker_ufunctional,
-                                fit_ufunctional_bound)
+                     integrate_singular, second_chaos_pairing_closed)
+from hidacur.stransform import (_current_kernel, current_ufunctional,
+                                donsker_ufunctional, fit_ufunctional_bound)
 
 from conftest import random_phi
 
@@ -216,6 +216,10 @@ class TestOrdersAtOrigin:
             integrand, 0.0, 1.0, epsabs=1e-13, limit=200)[0]
         assert np.isfinite(got)
         assert got == pytest.approx(oracle, abs=1e-9)
+        # the kernel is t^(-1/2) times a smooth function at d = 3, smooth at
+        # d = 2, so even tol 1e-12 takes a few panels
+        f, opts = _current_kernel(p, phi, 0, order=3)
+        assert integrate_singular(f, 1.0, tol=1e-12, **opts).node_count <= 200
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_order_three_is_continuous_at_origin(self, rng, d):

@@ -72,9 +72,23 @@ class TestFailures:
                                sing_exponent=-0.5, tol=1e-14, node_budget=2000)
         assert excinfo.value.best_estimate is not None
 
+    def test_no_estimate_above_tol_is_returned(self):
+        # an interior singularity the Gauss pair cannot resolve: the result
+        # either raises or meets tol, never a larger estimate
+        def f(t):
+            return (np.abs(t - 1.0 / np.pi) + 1e-300) ** -0.5
+
+        try:
+            res = integrate_singular(f, 1.0, sing_exponent=0.0, tol=1e-8)
+        except QuadratureBudgetError:
+            return
+        assert res.abs_error_estimate <= 1e-8
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             integrate_singular(lambda t: t, 0.0, sing_exponent=0.0, tol=1e-8)
+        with pytest.raises(ValueError):
+            integrate_singular(lambda t: t, np.inf, sing_exponent=0.0, tol=1e-8)
         with pytest.raises(ValueError):
             integrate_singular(lambda t: t, 1.0, sing_exponent=0.0, tol=0.0)
 

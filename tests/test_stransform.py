@@ -92,8 +92,10 @@ class TestSCurrent:
                 * phi.eval(t, 0)
 
         oracle, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, limit=400)
-        vals = s_current(p, phi, tol=1e-11)
+        vals, (res,) = s_current(p, phi, tol=1e-11, full_output=True)
         assert vals[0] == pytest.approx(oracle, abs=1e-10)
+        # in s = t^(1/2) the kernel is smooth, so a few panels suffice
+        assert res.node_count <= 200
 
     def test_rotational_equivariance(self, rng):
         # 90-degree rotation: s_current(Rx, R phi) = R s_current(x, phi)
@@ -135,12 +137,17 @@ class TestSCurrent:
         assert np.array_equal(f(t), expected)
         assert len(calls) == 1
 
-    def test_one_quadrature_matches_componentwise_integrals(self, rng):
-        # the (d, n) vector quadrature against scipy per component
-        for d in (2, 3):
+    @pytest.mark.parametrize("T", [1.0, 16.0, 40.0, 1e3, 1e5])
+    def test_one_quadrature_matches_componentwise_integrals(self, rng, T):
+        # the (d, n) vector quadrature against scipy per component, x = 0
+        # included for d = 1; phi has died off long before t = 50, and
+        # scipy's own integral over [0, 1e4] already misses by up to 9e-2, so
+        # the T = 1e5 oracle stops at 50
+        upper = T if T <= 1e3 else 50.0
+        for d, origin in ((1, True), (1, False), (2, False), (3, False)):
             phi = random_phi(rng, d, 5)
-            x = rng.uniform(0.3, 1.2, size=d)
-            p = CurrentParams(x, 1.0)
+            x = np.zeros(d) if origin else rng.uniform(0.3, 1.2, size=d)
+            p = CurrentParams(x, T)
             vals, results = s_current(p, phi, tol=1e-10, full_output=True)
             assert len(results) == 1
             assert results[0].abs_error_estimate.shape == (d,)
@@ -151,8 +158,17 @@ class TestSCurrent:
                     return (2 * np.pi * t) ** (-d / 2) * np.exp(-q / (2 * t)) \
                         * phi.eval(t, i)
 
-                oracle, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, limit=400)
+                oracle, _ = quad(integrand, 0.0, upper, epsabs=1e-13, limit=400)
                 assert vals[i] == pytest.approx(oracle, abs=1e-9)
+
+    def test_near_origin_d2_meets_tol(self):
+        # the damping constant |x|^2/2 = 5e-21 puts the kernel's mass down
+        # to t ~ 1e-20, where bisection toward 0 still has to reach
+        phi = TestFunction([np.array([1.0, 0.3]), np.array([1.0, 0.3])])
+        p = CurrentParams([1e-10, 0.0], 1.0)
+        vals, (res,) = s_current(p, phi, tol=1e-10, full_output=True)
+        assert np.all(np.isfinite(vals))
+        assert np.all(res.abs_error_estimate <= 1e-10)
 
 
 class TestMollified:
