@@ -67,7 +67,7 @@ def extract_chaos_pairing(F, phi, n, rtol=1e-6):
                             order=0)
     s = _R_CONTOUR * np.exp(1j * np.pi * np.arange(_N_CONTOUR // 2 + 1)
                             / (_N_CONTOUR // 2))
-    u = np.broadcast_to(F(s, phi), s.shape)
+    u = F(s, phi)
     scale = _R_CONTOUR ** n
     value = np.fft.hfft(u, _N_CONTOUR)[n] / (_N_CONTOUR * scale)
     half = np.fft.hfft(u[::2], _N_CONTOUR // 2)[n] / (_N_CONTOUR // 2 * scale)

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .chaos import (extract_chaos_pairing, first_chaos_pairing_closed,
                     second_chaos_pairing_closed)
-from .diagnostics import divergence_scan
+from .diagnostics import default_cutoffs, divergence_scan
 from .errors import NonexistenceError
 from .montecarlo import MCConfig, mc_s_transform
 from .quad import integrate_singular
@@ -90,12 +90,9 @@ def _phi_from_config(obj):
     return TestFunction(obj["components"])
 
 
-def _random_phi(rng, d, n_basis=5, unit_l2=True):
-    comps = [rng.normal(size=n_basis) for _ in range(d)]
-    phi = TestFunction(comps)
-    if unit_l2:
-        phi = phi.scaled(1.0 / phi.l2_norm())
-    return phi
+def _random_phi(rng, d):
+    phi = TestFunction([rng.normal(size=5) for _ in range(d)])
+    return phi.scaled(1.0 / phi.l2_norm())
 
 
 def _random_instance(rng, half_width):
@@ -293,8 +290,7 @@ def run_diverge(knobs):
     """Divergence scan over dimensions (criterion 6)."""
     T = knobs.get("T", 1.0)
     ds = knobs.get("d_values", [1, 2, 3, 4, 5, 6])
-    cutoffs = np.asarray(knobs.get("cutoffs",
-                                   (10.0 ** -np.arange(2.0, 10.0)).tolist()))
+    cutoffs = np.asarray(knobs.get("cutoffs", default_cutoffs(T)))
     rows = []
     ok = True
     for d in ds:

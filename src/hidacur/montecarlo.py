@@ -24,7 +24,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,23 +188,19 @@ def mollified_current_sample(cfg, increments):
     return out
 
 
-def _wiener_integral(cfg, phi_grid, increments):
-    """sum_i int phi_i dB_i as a left-endpoint sum; phi_grid is (d, M)."""
-    return np.einsum("dm,pmd->p", phi_grid, np.asarray(increments))
-
-
 def _block_moments(cfg, phi_grid, log_c, block):
+    """Sums of g, g^2, f, f^2 and g f over one block's paths, as (5, d)."""
     inc = simulate_increments(cfg, block)
     current = mollified_current_sample(cfg, inc)          # (paths, d)
-    weight = np.exp(_wiener_integral(cfg, phi_grid.astype(inc.dtype), inc) + log_c)
+    # the Wiener integral sum_i int phi_i dB_i as a left-endpoint sum
+    weight = np.exp(np.einsum("dm,pmd->p", phi_grid.astype(inc.dtype), inc) + log_c)
     # moments in float64 regardless of the path dtype; the control
     # f = unweighted current is exactly centered (each Ito term pairs an
     # adapted value with an independent increment)
     f = current.astype(np.float64)
     g = f * weight.astype(np.float64)[:, None]
-    return (g.sum(axis=0), (g * g).sum(axis=0),
-            f.sum(axis=0), (f * f).sum(axis=0),
-            (g * f).sum(axis=0), g.shape[0])
+    return np.stack([g.sum(axis=0), (g * g).sum(axis=0), f.sum(axis=0),
+                     (f * f).sum(axis=0), (g * f).sum(axis=0)])
 
 
 def _pairwise_sum(items):
@@ -248,23 +245,15 @@ def mc_s_transform(cfg, phi, n_threads=None, control_variate=True):
     # [0, T] and its expectation cancels the matching piece of C(phi)
     log_c = -0.5 * phi.l2_norm_on_interval(0.0, cfg.T) ** 2
 
-    n_blocks = cfg.n_blocks
-    results = [None] * n_blocks
-    if n_threads == 1:
-        for b in range(n_blocks):
-            results[b] = _block_moments(cfg, phi_grid, log_c, b)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            futures = {ex.submit(_block_moments, cfg, phi_grid, log_c, b): b
-                       for b in range(n_blocks)}
-            for fut, b in futures.items():
-                results[b] = fut.result()
+    # results in block order; _block_moments is looked up as a global per call
+    with ThreadPoolExecutor(max_workers=n_threads) as ex:
+        results = list(ex.map(
+            lambda b: _block_moments(cfg, phi_grid, log_c, b),
+            range(cfg.n_blocks)))
 
     # one fold over the stacked moments: the same additions, element by element
-    sg, sgg, sf, sff, sgf = _pairwise_sum([np.stack(r[:5]) for r in results])
-    n_total = sum(r[5] for r in results)
+    sg, sgg, sf, sff, sgf = _pairwise_sum(results)
+    n_total = cfg.n_paths
 
     mean_g = sg / n_total
     var_g = np.maximum(sgg / n_total - mean_g ** 2, 0.0)

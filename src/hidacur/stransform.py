@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import _lstsq_1d
-from .errors import NonexistenceError
+from .errors import IntegrandFailureError, NonexistenceError
 from .quad import integrate_singular
 from .special import singular_mass_closed
 
@@ -95,19 +95,25 @@ class CurrentParams:
             )
 
 
+def _shaped_like(value, z):
+    """value, computed on np.atleast_1d(z), as a Python scalar for a scalar z."""
+    return value if np.ndim(z) else value[0].item()
+
+
 @dataclass(frozen=True)
 class UFunctional:
     """An evaluable map (z, phi) -> complex with a descriptive label.
 
-    func(z, phi) accepts a scalar z or a 1-d array of z and returns a
-    result of the same shape; a scalar z gives a Python float or complex.
+    func(z, phi) gets a 1-d array of z and returns an array of its shape.  A
+    call with a scalar z passes it to func as a length-1 array and returns
+    a Python float or complex.
     """
 
     func: Callable
     label: str = ""
 
     def __call__(self, z, phi):
-        return self.func(z, phi)
+        return _shaped_like(self.func(np.atleast_1d(z), phi), z)
 
 
 @dataclass(frozen=True)
@@ -116,8 +122,6 @@ class BoundFit:
 
     C1: float
     C2: float
-    norm_used: str
-    samples: int
 
 
 def s_white_noise(phi, t, i):
@@ -139,20 +143,16 @@ def s_donsker(x, t, phi, z=1.0):
     if phi.dimension != d:
         raise ValueError("test function dimension does not match d")
     # c(t) once; row k of the outer product is z_k c(t)
-    q = np.sum((x - np.multiply.outer(z, phi.cumulative_all(t))) ** 2, axis=-1)
-    val = (_TWO_PI * t) ** (-d / 2.0) * np.exp(-q / (2.0 * t))
-    if np.ndim(z):
-        return val
-    if np.iscomplexobj(np.asarray(z)):
-        return complex(val)
-    return float(val)
+    zc = np.multiply.outer(np.atleast_1d(z), phi.cumulative_all(t))
+    q = np.sum((x - zc) ** 2, axis=-1)
+    return _shaped_like((_TWO_PI * t) ** (-d / 2.0) * np.exp(-q / (2.0 * t)), z)
 
 
-def _current_kernel(p, phi, i=None, z=1.0, eps2=0.0, order=None):
+def _current_kernel(p, phi, i=None, z=None, eps2=0.0, order=None):
     """(f, opts) for integrate_singular(f, p.T, tol=..., **opts), where
-    f(t) = (2 pi te)^(-d/2) exp(-|x - z c(t)|^2 / 2te) z phi(t), te = t + eps2,
-    as (d, n) for all components (i None) or (n,) for component i.  An (m,)
-    array z (order None, component i) gives one row per z, shape (m, n).
+    f(t) = (2 pi te)^(-d/2) exp(-|x - z c(t)|^2 / 2te) z phi(t), te = t + eps2.
+    An (m,) array z with component i gives one row per z, shape (m, n);
+    z None means z = 1, and with i None gives (d, n), one row per component.
     order=n >= 1 takes the z^n Taylor coefficient, the n-th chaos kernel
     G_{n-1}(a, b) (2 pi te)^(-d/2) exp(-|x|^2 / 2te) phi(t): with
     a = x . c(t) / te and b = |c(t)|^2 / te, exp(z a - z^2 b / 2) =
@@ -171,12 +171,15 @@ def _current_kernel(p, phi, i=None, z=1.0, eps2=0.0, order=None):
         opts = {"sing_exponent": exponent, "damping": None}
     else:
         p.check_existence()
+        if not p.at_origin and r2 < np.finfo(float).tiny:
+            raise IntegrandFailureError(
+                f"|x|^2 = {r2:g} underflows at x = {x.tolist()}")
         opts = {"sing_exponent": -d / 2.0,
                 "damping": None if p.at_origin else r2 / 2.0}
     if phi.dimension != d:
         raise ValueError("test function dimension does not match d")
-    # z as a column for the (m, n) rows; a scalar z takes none of the reshapes
-    zcol = np.asarray(z)[:, None] if np.ndim(z) else None
+    # z as a column for the (m, n) rows; z = 1 is exact in every product
+    zcol = np.ones((1, 1)) if z is None else np.asarray(z)[:, None]
 
     def f(t):
         te = t + eps2
@@ -187,13 +190,11 @@ def _current_kernel(p, phi, i=None, z=1.0, eps2=0.0, order=None):
             v, c = phi.eval_and_cumulative(t)
         if order:
             q = r2
-        elif zcol is None:
-            q = np.sum((x[:, None] - z * c) ** 2, axis=0)
         else:
             q = np.sum((x[:, None, None] - zcol * c[:, None]) ** 2, axis=0)
         k = (_TWO_PI * te) ** (-d / 2.0) * np.exp(-q / (2.0 * te))
         if order is None:
-            k = k * (z if zcol is None else zcol)
+            k = k * zcol
         elif order > 1:
             a = x @ c / te
             b = np.sum(c * c, axis=0) / te if order > 2 else 0.0
@@ -210,7 +211,8 @@ def s_current(p, phi, tol=1e-10, full_output=False):
     """S-transform of the current, all d components in one quadrature.
 
     Only defined on the existence region (x != 0, or x = 0 with d = 1);
-    raises NonexistenceError otherwise.  full_output=True also returns the
+    raises NonexistenceError otherwise, and IntegrandFailureError for an
+    x != 0 whose |x|^2 underflows.  full_output=True also returns the
     QuadResults spent: one, with length-d value and error arrays.
     """
     f, opts = _current_kernel(p, phi)
@@ -240,10 +242,9 @@ def current_ufunctional(p, i, tol=1e-12):
 
     def f(z, phi):
         z = np.asarray(z, dtype=complex)
-        g, opts = _current_kernel(p, phi, i, z=z if z.ndim else complex(z))
-        value = (integrate_singular(g, p.T, tol=tol, **opts).value
-                 if np.any(z) else np.zeros_like(z))
-        return value if z.ndim else complex(value)
+        g, opts = _current_kernel(p, phi, i, z=z)
+        return (integrate_singular(g, p.T, tol=tol, **opts).value
+                if np.any(z) else np.zeros_like(z))
 
     return UFunctional(f, label=f"S xi_{i}(x={p.x.tolist()}, T={p.T})")
 
@@ -265,7 +266,7 @@ def wick_integrand_ufunctional(x, t, i):
 
 def constant_ufunctional(c, label=None):
     """S-transform of the constant c (the unit for the Wick product at c=1)."""
-    return UFunctional(lambda z, phi: np.full(np.shape(z), c) if np.ndim(z) else c,
+    return UFunctional(lambda z, phi: np.full(z.shape, c),
                        label=label or f"const {c}")
 
 
@@ -302,12 +303,11 @@ def fit_ufunctional_bound(F, phi, radii, angles_per_radius=16):
     nrm2 = phi.combined_norm() ** 2
     thetas = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
     z = (radii[:, None] * np.exp(1j * thetas)).ravel()
-    mags = np.abs(np.broadcast_to(F(z, phi), z.shape)).reshape(radii.size, -1)
+    mags = np.abs(F(z, phi)).reshape(radii.size, -1)
     y = np.log(np.maximum(mags.max(axis=1), 1e-300))
     u = radii ** 2 * nrm2
     _, slope, _ = _lstsq_1d(u, y, radii ** 2)
     c2 = max(slope, 0.0)
     log_c1 = np.max(y - c2 * u)
-    return BoundFit(C1=float(np.exp(log_c1)), C2=float(c2),
-                    norm_used="combined", samples=int(radii.size * angles_per_radius))
+    return BoundFit(C1=float(np.exp(log_c1)), C2=float(c2))
 

@@ -255,3 +255,21 @@ class TestTruncatedReconstruction:
             tail = sum(coeff_bound / r ** n for n in range(4, 40))
             u1 = complex(F(1.0, phi)).real
             assert abs(u1 - total) <= tail + 1e-8
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_current_coefficients_meet_cauchy_estimate_of_its_fit(self, rng, d):
+        # |F(s phi)| <= C1 e^(C2 |s|^2 ||phi||^2) and Cauchy's estimate on the
+        # circle of the best radius give |a_n| <= C1 (2e C2 ||phi||^2 / n)^(n/2);
+        # phi has unit L2 norm, as in the experiment runners
+        for _ in range(2):
+            phi = random_phi(rng, d, 5, unit_l2=True)
+            p = CurrentParams(rng.uniform(0.3, 1.5, size=d), 1.0)
+            i = int(rng.integers(0, d))
+            fit = fit_ufunctional_bound(current_ufunctional(p, i, tol=1e-9),
+                                        phi, np.geomspace(0.5, 4.0, 8))
+            F = current_ufunctional(p, i, tol=1e-13)
+            nrm2 = phi.combined_norm() ** 2
+            for n in range(1, 8):
+                a_n = extract_chaos_pairing(F, phi, n).value
+                bound = fit.C1 * (2.0 * np.e * fit.C2 * nrm2 / n) ** (n / 2)
+                assert abs(a_n) <= bound

@@ -50,6 +50,13 @@ class TestExitCodes:
         assert main(["stransform", "--config", cfg,
                      "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("r", [1e-200, 1e-160])
+    def test_underflowing_x_is_numeric_failure(self, tmp_path, r):
+        cfg = write_config(tmp_path, "c.json", {
+            "x": [r, 0.0], "T": 1.0, "phi": phi_ref([[1.0, 0.3], [0.5]])})
+        assert main(["stransform", "--config", cfg,
+                     "--out", str(tmp_path)]) == 3
+
     @pytest.mark.parametrize("x, T", [
         ([float("inf")], 1.0), ([float("nan")], 1.0), ([0.5], float("inf"))])
     def test_non_finite_input_is_config_error(self, tmp_path, x, T):
@@ -80,6 +87,15 @@ class TestRecords:
         assert rec["wall_time_s"] >= 0.0
         assert rec["inputs"]["T"] == 1.0
         assert (tmp_path / "diverge.csv").exists()
+
+    def test_diverge_at_small_T(self, tmp_path):
+        # the default cutoffs lie inside (0, T) for T < 1 too
+        cfg = write_config(tmp_path, "c.json", {"T": 0.005})
+        assert main(["diverge", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rec = json.loads((tmp_path / "diverge.json").read_text())
+        assert rec["passed"] is True
+        assert rec["rows"][0]["rate"] == pytest.approx(2.0 * 0.005 ** 0.5,
+                                                       abs=1e-9)
 
     def test_csv_reads_back_to_the_record_rows(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hidacur import (CurrentParams, NonexistenceError,
+from hidacur import (CurrentParams, IntegrandFailureError, NonexistenceError,
                      TestFunction, UFunctional, check_integrability,
                      constant_ufunctional, donsker_ufunctional,
                      fit_ufunctional_bound, s_current, s_current_mollified,
@@ -170,6 +170,18 @@ class TestSCurrent:
         assert np.all(np.isfinite(vals))
         assert np.all(res.abs_error_estimate <= 1e-10)
 
+    @pytest.mark.parametrize("r", [1e-200, 1e-160])
+    def test_underflowing_x_raises_before_quadrature(self, monkeypatch, r):
+        # |x|^2 is 0 at 1e-200 and subnormal at 1e-160, where the kernel
+        # overflowed; either way no quadrature is attempted
+        def fail(*args, **kwargs):
+            raise AssertionError("quadrature on an underflowing |x|^2")
+
+        monkeypatch.setattr(stransform, "integrate_singular", fail)
+        phi = TestFunction([np.array([1.0, 0.3]), np.array([0.5])])
+        with pytest.raises(IntegrandFailureError):
+            s_current(CurrentParams([r, 0.0], 1.0), phi)
+
 
 class TestMollified:
     def test_zero_phi(self):
@@ -277,6 +289,18 @@ class TestBatchedZ:
         out = F(np.zeros(3), random_phi(rng, 1, 3))
         assert out.shape == (3,) and not np.any(out)
         assert F(0.0, random_phi(rng, 1, 3)) == 0.0
+
+    def test_scalar_z_is_adapted_at_the_call(self, rng):
+        # func sees a length-1 array; the caller gets a Python scalar back
+        seen = []
+
+        def func(z, phi):
+            seen.append(z.shape)
+            return np.full(z.shape, 2.0)
+
+        out = UFunctional(func)(0.5, random_phi(rng, 1, 3))
+        assert type(out) is float and out == 2.0
+        assert seen == [(1,)]
 
     def test_constant_and_product_broadcast(self, rng):
         phi = random_phi(rng, 1, 4)
