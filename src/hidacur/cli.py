@@ -92,12 +92,7 @@ def main(argv=None):
             print("hidacur: --seed must fit in an unsigned 64-bit integer",
                   file=sys.stderr)
             return EXIT_CONFIG
-        knobs = dict(knobs)
-        knobs["seed"] = args.seed
-        # the mc kind nests per-case seeds; an explicit override reseeds all
-        if "cases" in knobs:
-            knobs["cases"] = [dict(c, seed=args.seed + k)
-                              for k, c in enumerate(knobs["cases"])]
+        knobs = dict(knobs, seed=args.seed)
 
     try:
         record = run_experiment(args.kind, knobs)

@@ -14,7 +14,6 @@ masses are antiderivatives, exact up to rounding.  Tail-weighted fitting
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 __all__ = ["DivergenceReport", "divergence_scan", "default_cutoffs"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivergenceReport:
     d: int
     T: float
@@ -32,15 +31,6 @@ class DivergenceReport:
     rate: float                 # limit (bounded), log slope, or power exponent
     residual: float
     verdict: str                # "convergent" | "divergent"
-
-    def to_json(self):
-        return json.dumps({
-            "d": self.d, "T": self.T,
-            "cutoffs": self.cutoffs.tolist(),
-            "masses": self.masses.tolist(),
-            "model": self.model, "rate": self.rate,
-            "residual": self.residual, "verdict": self.verdict,
-        })
 
 
 def default_cutoffs(T, k=8):

@@ -249,11 +249,13 @@ def run_second_chaos(knobs):
 
 
 def run_mc(knobs):
-    """Monte Carlo vs the mollified closed form (criterion 5)."""
+    """Monte Carlo vs the mollified closed form (criterion 5).  A "seed"
+    knob reseeds case k with seed + k."""
     cases = knobs.get("cases", MC_ACCEPTANCE_CASES)
+    if "seed" in knobs:
+        cases = [dict(c, seed=knobs["seed"] + k) for k, c in enumerate(cases)]
     n_paths = knobs.get("n_paths", 200000)
     n_steps = knobs.get("n_steps", 4096)
-    n_threads = knobs.get("n_threads")
     # fraction of the closed-form magnitude the stderr must stay under;
     # null disables the check (sensible for quick, small-N runs)
     stderr_fraction = knobs.get("stderr_fraction", 0.02)
@@ -268,7 +270,7 @@ def run_mc(knobs):
         cfg = MCConfig(d=d, T=case.get("T", 1.0), x=tuple(case["x"]),
                        n_paths=n_paths, n_steps=n_steps, eps2=eps2,
                        seed=case["seed"])
-        est = mc_s_transform(cfg, phi, n_threads=n_threads)
+        est = mc_s_transform(cfg, phi)
         p = CurrentParams(case["x"], cfg.T)
         closed = s_current_mollified(p, phi, eps2, tol=1e-11)
         z = np.abs(est.mean - closed) / np.maximum(est.stderr, 1e-300)

@@ -25,7 +25,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,14 +55,16 @@ class MCConfig:
         object.__setattr__(self, "x", x)
         if len(x) != self.d or self.d < 1:
             raise ValueError(f"x must have length d={self.d}")
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"x must be finite, got {list(x)}")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
-        if not self.eps2 > 0.0:
-            raise ValueError(f"eps2 must be > 0, got {self.eps2}")
-        if not self.T > 0.0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not 0.0 < self.eps2 < math.inf:
+            raise ValueError(f"eps2 must be finite and > 0, got {self.eps2}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be finite and > 0, got {self.T}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype}")
 
@@ -75,19 +77,14 @@ class MCConfig:
         return min(self.block_size, self.n_paths - lo)
 
     def to_json(self):
-        return json.dumps({
-            "d": self.d, "T": self.T, "x": list(self.x),
-            "n_paths": self.n_paths, "n_steps": self.n_steps,
-            "eps2": self.eps2, "seed": self.seed,
-            "block_size": self.block_size, "dtype": self.dtype,
-        })
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, s):
         return cls(**json.loads(s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MCEstimate:
     mean: np.ndarray            # (d,)
     stderr: np.ndarray          # (d,)
@@ -99,7 +96,7 @@ class MCEstimate:
             "mean": self.mean.tolist(),
             "stderr": self.stderr.tolist(),
             "n_effective": self.n_effective,
-            "config": json.loads(self.config.to_json()),
+            "config": asdict(self.config),
         })
 
 

@@ -42,7 +42,7 @@ DEFAULT_NODE_BUDGET = 10 ** 6
 _FLOOR = 8000.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadResult:
     value: float  # or complex; a (k,) array for a (k, n) integrand
     abs_error_estimate: float  # per row for a (k, n) integrand

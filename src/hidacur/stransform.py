@@ -13,8 +13,8 @@ Everything here is an explicit integral formula:
                             semigroup property keeps the form closed)
 
 with c_j(t) = int_0^t phi_j.  The current at the origin exists only in
-dimension 1; for d > 1 the integral diverges and NonexistenceError is
-raised (that negative outcome is quantified in the diagnostics module).
+dimension 1; for d > 1 the integral diverges and CurrentParams.origin_exponent
+raises NonexistenceError (quantified in the diagnostics module).
 
 One integrand (_current_kernel) serves every component, the mollification
 and the chaos kernels of every order: its z^n Taylor coefficients, from one
@@ -60,39 +60,43 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurrentParams:
-    """The triple (x, T, d) identifying one stochastic current."""
+    """The pair (x, T) identifying one stochastic current in d = len(x)."""
 
     x: np.ndarray
     T: float
-    d: int
 
-    def __init__(self, x, T, d=None):
+    def __init__(self, x, T):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if d is None:
-            d = len(x)
-        if len(x) != d or d < 1:
-            raise ValueError(f"x must have length d={d}")
+        if x.ndim != 1 or x.size == 0:
+            raise ValueError(f"x must be a nonempty vector, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError(f"x must be finite, got {x.tolist()}")
         if not 0.0 < T < np.inf:
             raise ValueError(f"T must be finite and > 0, got {T}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "T", float(T))
-        object.__setattr__(self, "d", int(d))
+
+    @property
+    def d(self):
+        return len(self.x)
 
     @property
     def at_origin(self):
         return bool(np.all(self.x == 0.0))
 
-    def check_existence(self):
-        """Raise NonexistenceError outside the existence region."""
-        if self.at_origin and self.d > 1:
+    def origin_exponent(self, n=1):
+        """Exponent e of the order-n chaos kernel, O(t^e) at x = 0: (n-1-d)/2
+        for odd n (order 1 is the current's own t^(-d/2)), 0 for even n, where
+        the kernel vanishes.  Raises NonexistenceError if e <= -1 (d > n)."""
+        e = (n - 1 - self.d) / 2.0 if n % 2 else 0.0
+        if e <= -1.0:
+            chaos = "first" if n == 1 else f"order-{n}"
             raise NonexistenceError(
-                f"x=0 with d={self.d}: the first chaos diverges, so the current "
-                "at the origin is not a Hida distribution; see diagnostics."
-            )
+                f"x=0 with d={self.d}: the {chaos} chaos diverges, so the current "
+                "at the origin is not a Hida distribution; see diagnostics.")
+        return e
 
 
 def _shaped_like(value, z):
@@ -102,7 +106,7 @@ def _shaped_like(value, z):
 
 @dataclass(frozen=True)
 class UFunctional:
-    """An evaluable map (z, phi) -> complex with a descriptive label.
+    """An evaluable map (z, phi) -> complex.
 
     func(z, phi) gets a 1-d array of z and returns an array of its shape.  A
     call with a scalar z passes it to func as a length-1 array and returns
@@ -110,7 +114,6 @@ class UFunctional:
     """
 
     func: Callable
-    label: str = ""
 
     def __call__(self, z, phi):
         return _shaped_like(self.func(np.atleast_1d(z), phi), z)
@@ -157,25 +160,20 @@ def _current_kernel(p, phi, i=None, z=None, eps2=0.0, order=None):
     G_{n-1}(a, b) (2 pi te)^(-d/2) exp(-|x|^2 / 2te) phi(t): with
     a = x . c(t) / te and b = |c(t)|^2 / te, exp(z a - z^2 b / 2) =
     sum_k G_k z^k, G_0 = 1, G_1 = a, G_{k+1} = (a G_k - b G_{k-1}) / (k + 1).
-    At x = 0, a = 0, so G_{n-1} = 0 for even n and O(t^((n-1)/2)) for odd n.
+    At x = 0, a = 0, so G_{n-1} = 0 for even n and O(t^((n-1)/2)) for odd n;
+    p.origin_exponent gives the kernel's exponent there for every order.
     eps2 > 0 bounds the kernel: exponent 0 and no existence check."""
     x, d = p.x, p.d
     r2 = float(np.dot(x, x))
     if eps2 > 0.0:
         opts = {"sing_exponent": 0.0}
-    elif order and order > 1 and p.at_origin:
-        exponent = (order - 1 - d) / 2.0 if order % 2 else 0.0
-        if exponent <= -1.0:
-            raise NonexistenceError(f"x=0 with d={d}: the order-{order} chaos "
-                                    f"kernel is O(t^{exponent:g}), not integrable")
-        opts = {"sing_exponent": exponent, "damping": None}
+    elif p.at_origin:
+        opts = {"sing_exponent": p.origin_exponent(order or 1), "damping": None}
     else:
-        p.check_existence()
-        if not p.at_origin and r2 < np.finfo(float).tiny:
+        if r2 < np.finfo(float).tiny:
             raise IntegrandFailureError(
                 f"|x|^2 = {r2:g} underflows at x = {x.tolist()}")
-        opts = {"sing_exponent": -d / 2.0,
-                "damping": None if p.at_origin else r2 / 2.0}
+        opts = {"sing_exponent": -d / 2.0, "damping": r2 / 2.0}
     if phi.dimension != d:
         raise ValueError("test function dimension does not match d")
     # z as a column for the (m, n) rows; z = 1 is exact in every product
@@ -246,35 +244,30 @@ def current_ufunctional(p, i, tol=1e-12):
         return (integrate_singular(g, p.T, tol=tol, **opts).value
                 if np.any(z) else np.zeros_like(z))
 
-    return UFunctional(f, label=f"S xi_{i}(x={p.x.tolist()}, T={p.T})")
+    return UFunctional(f)
 
 
 def donsker_ufunctional(x, t):
     """The Donsker-delta S-transform as a U-functional in z."""
-    return UFunctional(lambda z, phi: s_donsker(x, t, phi, z),
-                       label=f"S delta(x-B({t}))")
+    return UFunctional(lambda z, phi: s_donsker(x, t, phi, z))
 
 
 def wick_integrand_ufunctional(x, t, i):
     """U-functional of the current's integrand at fixed t:
     S(delta(x - B(t)))(z phi) * z phi_i(t)."""
     return UFunctional(
-        lambda z, phi: s_donsker(x, t, phi, z) * z * phi.eval(t, i),
-        label=f"S delta(x-B({t})) * W_{i}(t)",
-    )
+        lambda z, phi: s_donsker(x, t, phi, z) * z * phi.eval(t, i))
 
 
-def constant_ufunctional(c, label=None):
+def constant_ufunctional(c):
     """S-transform of the constant c (the unit for the Wick product at c=1)."""
-    return UFunctional(lambda z, phi: np.full(z.shape, c),
-                       label=label or f"const {c}")
+    return UFunctional(lambda z, phi: np.full(z.shape, c))
 
 
 def wick_product(F, G):
     """Wick product on the S-transform side: pointwise product, elementwise
     over a vector of z."""
-    return UFunctional(lambda z, phi: F(z, phi) * G(z, phi),
-                       label=f"({F.label}) wick ({G.label})")
+    return UFunctional(lambda z, phi: F(z, phi) * G(z, phi))
 
 
 def check_integrability(p):
@@ -282,9 +275,9 @@ def check_integrability(p):
     x = 0 with d = 1.  Raises NonexistenceError at x = 0 with d > 1, where
     the mass diverges (diagnostics.divergence_scan classifies the rate).
     """
-    p.check_existence()
     if p.at_origin:
-        return 2.0 * p.T ** 0.5
+        e = p.origin_exponent()
+        return p.T ** (e + 1.0) / (e + 1.0)
     return singular_mass_closed(p.d, float(np.linalg.norm(p.x)), p.T)
 
 

@@ -90,7 +90,7 @@ class TestExtraction:
 
         for noisy in (alternating, gaussian):
             with pytest.raises(UnstableDerivativeError):
-                extract_chaos_pairing(UFunctional(noisy, "noisy"),
+                extract_chaos_pairing(UFunctional(noisy),
                                       random_phi(rng, 1, 3), 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])

@@ -158,6 +158,38 @@ class TestRecords:
         r1.pop("wall_time_s"), r2.pop("wall_time_s")
         assert r1 == r2
 
+    def test_mc_seed_reseeds_each_case(self, tmp_path):
+        # configs/05_mc_grid.json has no "cases"; --seed must still reach
+        # the acceptance grid, case k getting seed + k
+        cfg = write_config(tmp_path, "c.json", {
+            "n_paths": 256, "n_steps": 64, "stderr_fraction": None})
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["mc", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["mc", "--config", cfg, "--out", str(out2),
+                     "--seed", "5"]) == 0
+        r1 = json.loads((out1 / "mc.json").read_text())
+        r2 = json.loads((out2 / "mc.json").read_text())
+        assert [r["seed"] for r in r1["rows"]] == [20260501, 20260502,
+                                                   20260503, 20260504]
+        assert [r["seed"] for r in r2["rows"]] == [5, 6, 7, 8]
+        for a, b in zip(r1["rows"], r2["rows"]):
+            assert a["mc_mean"] != b["mc_mean"]
+
+    def test_mc_explicit_cases_keep_their_seeds(self, tmp_path):
+        from hidacur.experiments import mc_acceptance_phi
+        from hidacur.montecarlo import MCConfig, mc_s_transform
+
+        cfg = write_config(tmp_path, "c.json", {
+            "n_paths": 256, "n_steps": 64, "stderr_fraction": None,
+            "cases": [{"d": 1, "x": [0.5], "eps2": 0.05, "seed": 7}]})
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 0
+        row = json.loads((tmp_path / "mc.json").read_text())["rows"][0]
+        expected = mc_s_transform(
+            MCConfig(d=1, T=1.0, x=(0.5,), n_paths=256, n_steps=64,
+                     eps2=0.05, seed=7), mc_acceptance_phi(1, 0.05))
+        assert row["seed"] == 7
+        assert row["estimate_body"] == expected.to_json()
+
     def test_seed_override_changes_sweep(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "sweep": True, "n_nonzero": 2, "n_origin_d1": 1, "seed": 1})

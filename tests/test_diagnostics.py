@@ -1,7 +1,5 @@
 """Divergence scan of the first-chaos mass at the origin."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -77,12 +75,3 @@ class TestValidation:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             divergence_scan(0, 1.0, default_cutoffs(1.0))
-
-
-class TestSerialization:
-    def test_json_round_trip_fields(self):
-        rep = divergence_scan(2, 1.0, default_cutoffs(1.0))
-        body = json.loads(rep.to_json())
-        assert body["verdict"] == "divergent"
-        assert body["d"] == 2
-        assert len(body["cutoffs"]) == len(body["masses"])

@@ -253,6 +253,21 @@ class TestSerialization:
         with pytest.raises(ValueError):
             small_cfg(dtype="float16")
 
+    @pytest.mark.parametrize("kw", [
+        {"x": (math.nan,)}, {"x": (math.inf,)}, {"x": (-math.inf,)},
+        {"T": math.inf}, {"T": math.nan}, {"eps2": math.inf},
+        {"eps2": math.nan}])
+    def test_non_finite_inputs_rejected(self, kw):
+        # each gave a NaN mean or 0 +- 0 without an error
+        with pytest.raises(ValueError, match="finite"):
+            small_cfg(**kw)
+        import json
+
+        body = json.loads(small_cfg().to_json())
+        body.update(kw)
+        with pytest.raises(ValueError, match="finite"):
+            MCConfig.from_json(json.dumps(body))
+
     @pytest.mark.parametrize("block_size", [0, -5])
     def test_nonpositive_block_size_rejected(self, block_size):
         with pytest.raises(ValueError, match="block_size"):

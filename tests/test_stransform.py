@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hidacur import (CurrentParams, IntegrandFailureError, NonexistenceError,
-                     TestFunction, UFunctional, check_integrability,
-                     constant_ufunctional, donsker_ufunctional,
-                     fit_ufunctional_bound, s_current, s_current_mollified,
-                     s_donsker, s_white_noise, upper_incomplete_gamma,
-                     wick_integrand_ufunctional, wick_product)
+from hidacur import (CurrentParams, IntegrandFailureError, MCConfig,
+                     NonexistenceError, TestFunction, UFunctional,
+                     check_integrability, constant_ufunctional,
+                     default_cutoffs, divergence_scan, donsker_ufunctional,
+                     fit_ufunctional_bound, mc_s_transform, s_current,
+                     s_current_mollified, s_donsker, s_white_noise,
+                     upper_incomplete_gamma, wick_integrand_ufunctional,
+                     wick_product)
 from hidacur import schwartz, stransform
 from hidacur.stransform import _current_kernel, current_ufunctional
 
@@ -25,6 +27,63 @@ class TestCurrentParams:
     def test_rejects_non_finite_or_non_positive(self, x, T):
         with pytest.raises(ValueError):
             CurrentParams(x, T)
+
+    @pytest.mark.parametrize("x", [[], [[0.5, 0.2]]])
+    def test_rejects_empty_or_matrix_x(self, x):
+        with pytest.raises(ValueError):
+            CurrentParams(x, 1.0)
+
+    def test_d_is_the_length_of_x(self):
+        assert CurrentParams([0.5, 0.0, -1.0], 1.0).d == 3
+        assert CurrentParams(0.5, 1.0).d == 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_origin_exponent(self, n, d):
+        # the order-n kernel at x = 0 is O(t^((n-1-d)/2)) for odd n and
+        # vanishes for even n; it fails to be integrable exactly for odd n < d
+        p = CurrentParams(np.zeros(d), 1.0)
+        if n % 2 and n < d:
+            with pytest.raises(NonexistenceError):
+                p.origin_exponent(n)
+        else:
+            assert p.origin_exponent(n) == ((n - 1 - d) / 2 if n % 2 else 0.0)
+
+    def test_origin_message_is_the_existence_refusal(self):
+        # the text criterion 2's record stores for d = 2
+        with pytest.raises(NonexistenceError) as exc:
+            CurrentParams([0.0, 0.0], 1.0).origin_exponent()
+        assert str(exc.value) == (
+            "x=0 with d=2: the first chaos diverges, so the current at the "
+            "origin is not a Hida distribution; see diagnostics.")
+
+
+def _mc_estimate_d2():
+    cfg = MCConfig(d=2, T=1.0, x=(1.0, 0.0), n_paths=64, n_steps=16,
+                   eps2=0.05, seed=3)
+    return mc_s_transform(cfg, TestFunction([[0.5], [0.2]]), n_threads=1)
+
+
+class TestRecordsCompare:
+    """Records holding arrays support == and hash (by identity) without
+    numpy's ambiguous-truth-value error."""
+
+    MAKERS = {
+        "CurrentParams": lambda: CurrentParams([0.5, -0.2], 1.0),
+        "DivergenceReport": lambda: divergence_scan(2, 1.0,
+                                                    default_cutoffs(1.0)),
+        "QuadResult": lambda: s_current(
+            CurrentParams([0.5, -0.2], 1.0), TestFunction([[1.0], [0.3]]),
+            full_output=True)[1][0],
+        "MCEstimate": _mc_estimate_d2,
+    }
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_equal_valued_records_compare_and_hash(self, name):
+        a, b = self.MAKERS[name](), self.MAKERS[name]()
+        assert type(a).__name__ == name
+        assert a == a and isinstance(a == b, bool)
+        assert a in {a, b} and b in {a, b}
 
 
 class TestWhiteNoise:
@@ -340,8 +399,7 @@ class TestFitUFunctionalBound:
         # F(z phi) = exp(z^2) with ||phi|| = 1 must fit C2 >= 1
         phi = random_phi(rng, 1, 4)
         phi = phi.scaled(1.0 / phi.combined_norm())
-        F = UFunctional(lambda z, p: np.exp(np.asarray(z, dtype=complex) ** 2),
-                        "exp(z^2)")
+        F = UFunctional(lambda z, p: np.exp(np.asarray(z, dtype=complex) ** 2))
         fit = fit_ufunctional_bound(F, phi, np.geomspace(1.0, 6.0, 6))
         assert fit.C2 >= 1.0 - 1e-6
 
