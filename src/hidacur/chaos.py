@@ -38,8 +38,8 @@ __all__ = [
 
 # Contour samples and radius.  Rounding in a_n grows like eps max|U| / r^n
 # (8^5 = 3e4 at order 5), aliasing like a_{n+N} r^N.  The half sum's
-# r^(N/2) = 6e-8 keeps an unnormalized five-mode phi inside the default
-# rtol, where N = 12, r = 1/4 (r^6 = 2e-4) raises and misses a_n by 5e-8.
+# r^(N/2) = 6e-8 keeps an unnormalized five-mode phi inside the 1e-6
+# relative check; N = 12, r = 1/4 (r^6 = 2e-4) raises and misses a_n by 5e-8.
 _N_CONTOUR = 16
 _R_CONTOUR = 0.125
 
@@ -48,23 +48,21 @@ _R_CONTOUR = 0.125
 class ChaosPairing:
     value: float
     error_estimate: float
-    order: int
 
 
-def extract_chaos_pairing(F, phi, n, rtol=1e-6):
+def extract_chaos_pairing(F, phi, n):
     """(1/n!) d^n/ds^n F(s phi) at s = 0, with an error estimate.
 
     F is called once: at s = 0 for n = 0, otherwise on the N/2 + 1 points
     of the contour's upper half (the lower half is their conjugate for a
     real phi).  Raises ValueError for n >= N/2 and UnstableDerivativeError
-    when the full and half sums disagree by more than rtol relative
-    (floored at 1e-9 absolute).
+    unless the full and half sums agree to 1e-6 relative (floored at 1e-9
+    absolute), so a NaN sample raises too.
     """
     if not 0 <= n < _N_CONTOUR // 2:
         raise ValueError(f"order must be in [0, {_N_CONTOUR // 2}), got {n}")
     if n == 0:
-        return ChaosPairing(value=complex(F(0.0, phi)).real, error_estimate=0.0,
-                            order=0)
+        return ChaosPairing(value=complex(F(0.0, phi)).real, error_estimate=0.0)
     s = _R_CONTOUR * np.exp(1j * np.pi * np.arange(_N_CONTOUR // 2 + 1)
                             / (_N_CONTOUR // 2))
     u = F(s, phi)
@@ -72,11 +70,10 @@ def extract_chaos_pairing(F, phi, n, rtol=1e-6):
     value = np.fft.hfft(u, _N_CONTOUR)[n] / (_N_CONTOUR * scale)
     half = np.fft.hfft(u[::2], _N_CONTOUR // 2)[n] / (_N_CONTOUR // 2 * scale)
     disagree = abs(value - half)
-    if disagree > rtol * max(abs(value), 1.0) + 1e-9:
+    if not disagree <= 1e-6 * max(abs(value), 1.0) + 1e-9:
         raise UnstableDerivativeError(
             f"order-{n} contour sums differ by {disagree:g}")
-    return ChaosPairing(value=float(value), error_estimate=float(disagree),
-                        order=n)
+    return ChaosPairing(value=float(value), error_estimate=float(disagree))
 
 
 def _closed_pairing(p, phi, i, n, tol):
@@ -85,14 +82,14 @@ def _closed_pairing(p, phi, i, n, tol):
     return integrate_singular(f, p.T, tol=tol, **opts).value
 
 
-def first_chaos_pairing_closed(p, phi, i, tol=1e-11):
+def first_chaos_pairing_closed(p, phi, i):
     """(2 pi)^(-d/2) int_0^T t^(-d/2) exp(-|x|^2/2t) phi_i(t) dt.
 
     Exists exactly on the existence region; NonexistenceError otherwise."""
-    return _closed_pairing(p, phi, i, 1, tol)
+    return _closed_pairing(p, phi, i, 1, 1e-11)
 
 
-def second_chaos_pairing_closed(p, phi, i, convention="derivative", tol=1e-11):
+def second_chaos_pairing_closed(p, phi, i, convention="derivative"):
     """Second-chaos pairing <xi_i^(2)(x), phi (x) phi> in closed form.
 
     convention="paper": the printed kernel, which pairs to
@@ -105,5 +102,5 @@ def second_chaos_pairing_closed(p, phi, i, convention="derivative", tol=1e-11):
     """
     if convention not in ("paper", "derivative"):
         raise ValueError(f"unknown convention {convention!r}")
-    value = _closed_pairing(p, phi, i, 2, tol)
+    value = _closed_pairing(p, phi, i, 2, 1e-11)
     return -0.5 * value if convention == "paper" else value

@@ -8,7 +8,7 @@ idempotent given the config apart from the wall-time field.
 
 Exit codes:
     0   success
-    2   bad configuration (unreadable/invalid config, bad kind, bad values)
+    2   bad configuration (unreadable or non-strict JSON, bad kind or values)
     3   numeric failure (budget exhausted, unstable derivative, or a
         requested check that did not meet its tolerance)
     4   evaluation at a nonexistent object (x = 0 with d > 1) requested as
@@ -69,14 +69,18 @@ def _write_outputs(out_dir, kind, record):
     return path
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     try:
         with open(args.config) as fh:
-            knobs = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            knobs = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
         print(f"hidacur: cannot read config {args.config}: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG

@@ -63,8 +63,8 @@ def divergence_scan(d, T, cutoffs):
     cutoffs = np.asarray(cutoffs, dtype=float)
     if cutoffs.size < 4:
         raise ValueError("need at least 4 cutoffs")
-    if np.any(cutoffs <= 0.0) or np.any(cutoffs >= T):
-        raise ValueError("cutoffs must lie strictly inside (0, T)")
+    if not (0.0 < T < np.inf and np.all((0.0 < cutoffs) & (cutoffs < T))):
+        raise ValueError(f"need finite T > 0, cutoffs inside (0, T); T={T}")
     if np.any(np.diff(cutoffs) >= 0.0):
         raise ValueError("cutoffs must be strictly decreasing")
     if d < 1 or d != int(d):

@@ -105,6 +105,11 @@ def _random_instance(rng, half_width):
     return d, x, _random_phi(rng, d)
 
 
+def _worst(values):
+    """Largest of values, 0.0 for none; NaN if any value is NaN."""
+    return float(np.max(values, initial=0.0))
+
+
 def run_gamma_check(knobs):
     """Closed-form singular mass vs direct adaptive quadrature (criterion 1)."""
     ds = knobs.get("d_values", [1, 2, 3, 4, 5])
@@ -112,7 +117,6 @@ def run_gamma_check(knobs):
     Ts = knobs.get("T_values", [0.5, 1.0, 2.0])
     rtol = knobs.get("rtol", 1e-9)
     rows = []
-    worst = 0.0
     for d in ds:
         for r in rs:
             for T in Ts:
@@ -122,9 +126,9 @@ def run_gamma_check(knobs):
                     T, sing_exponent=-d / 2.0, tol=1e-12 * max(closed, 1.0),
                     damping=r * r / 2.0)
                 rel = abs(closed - res.value) / abs(closed)
-                worst = max(worst, rel)
                 rows.append({"d": d, "r": r, "T": T, "closed": closed,
                              "quadrature": res.value, "rel_error": rel})
+    worst = _worst([r["rel_error"] for r in rows])
     return {"rows": rows, "worst_rel_error": worst,
             "passed": bool(worst <= rtol), "rtol": rtol}
 
@@ -160,7 +164,6 @@ def run_existence(knobs):
     n_nonzero = knobs.get("n_nonzero", 20)
     n_origin_d1 = knobs.get("n_origin_d1", 5)
     rows = []
-    ok = True
     instances = [_random_instance(rng, 2.0) for _ in range(n_nonzero)]
     instances += [(1, np.zeros(1), _random_phi(rng, 1))
                   for _ in range(n_origin_d1)]
@@ -169,7 +172,6 @@ def run_existence(knobs):
                                   full_output=True)
         err = float(np.max(res.abs_error_estimate))
         finite = bool(np.all(np.isfinite(values)))
-        ok &= finite and err <= tol
         rows.append({"d": d, "x": x.tolist(), "value": values.tolist(),
                      "err": err, "finite": finite})
     refusals = []
@@ -177,10 +179,11 @@ def run_existence(knobs):
         try:
             s_current(CurrentParams(np.zeros(d), 1.0), _random_phi(rng, d))
             refusals.append({"d": d, "refused": False})
-            ok = False
         except NonexistenceError as exc:
             refusals.append({"d": d, "refused": True, "message": str(exc)})
-    return {"rows": rows, "refusals": refusals, "passed": bool(ok), "tol": tol}
+    passed = (all(r["finite"] and r["err"] <= tol for r in rows)
+              and all(r["refused"] for r in refusals))
+    return {"rows": rows, "refusals": refusals, "passed": passed, "tol": tol}
 
 
 def run_chaos(knobs):
@@ -194,7 +197,6 @@ def run_chaos(knobs):
     n_instances = knobs.get("n_instances", 50)
     atol = knobs.get("atol", 1e-8)
     rows = []
-    worst1 = worst0 = 0.0
     for _ in range(n_instances):
         d, x, phi = _random_instance(rng, 1.5)
         i = int(rng.integers(0, d))
@@ -204,10 +206,10 @@ def run_chaos(knobs):
         c1 = extract_chaos_pairing(F, phi, 1)
         closed = first_chaos_pairing_closed(p, phi, i)
         diff = abs(c1.value - closed)
-        worst1 = max(worst1, diff)
-        worst0 = max(worst0, abs(c0.value))
         rows.append({"d": d, "x": x.tolist(), "i": i, "numeric": c1.value,
                      "closed": closed, "diff": diff, "order0": c0.value})
+    worst1 = _worst([r["diff"] for r in rows])
+    worst0 = _worst([abs(r["order0"]) for r in rows])
     passed = worst1 <= atol and worst0 <= 1e-12
     return {"rows": rows, "worst_order1_diff": worst1,
             "worst_order0": worst0, "passed": bool(passed), "atol": atol}
@@ -223,8 +225,6 @@ def run_second_chaos(knobs):
     n_instances = knobs.get("n_instances", 50)
     atol = knobs.get("atol", 1e-6)
     rows = []
-    worst = 0.0
-    ratios = []
     for _ in range(n_instances):
         d, x, phi = _random_instance(rng, 1.5)
         i = int(rng.integers(0, d))
@@ -234,14 +234,15 @@ def run_second_chaos(knobs):
         deriv = second_chaos_pairing_closed(p, phi, i, convention="derivative")
         paper = -0.5 * deriv  # exactly second_chaos_pairing_closed's "paper"
         diff = abs(c2.value - deriv)
-        worst = max(worst, diff)
         row = {"d": d, "x": x.tolist(), "i": i, "numeric": c2.value,
                "derivative_convention": deriv, "paper_convention": paper,
                "diff": diff}
         if abs(paper) > 1e-10:
             row["ratio_derivative_to_paper"] = deriv / paper
-            ratios.append(deriv / paper)
         rows.append(row)
+    worst = _worst([r["diff"] for r in rows])
+    ratios = [r["ratio_derivative_to_paper"] for r in rows
+              if "ratio_derivative_to_paper" in r]
     return {"rows": rows, "worst_diff": worst, "passed": bool(worst <= atol),
             "atol": atol,
             "mean_ratio_derivative_to_paper": float(np.mean(ratios)),
@@ -260,7 +261,6 @@ def run_mc(knobs):
     # null disables the check (sensible for quick, small-N runs)
     stderr_fraction = knobs.get("stderr_fraction", 0.02)
     rows = []
-    ok = True
     for case in cases:
         d, eps2 = case["d"], case["eps2"]
         if "phi" in case:
@@ -278,14 +278,13 @@ def run_mc(knobs):
             est.stderr[i] <= stderr_fraction * abs(closed[i])
             for i in range(d) if abs(closed[i]) > 1e-3)
         case_ok = bool(np.all(z <= 4.0) and rel_ok)
-        ok &= case_ok
         rows.append({"d": d, "x": case["x"], "eps2": eps2, "seed": case["seed"],
                      "mc_mean": est.mean.tolist(), "stderr": est.stderr.tolist(),
                      "closed": closed.tolist(), "z": z.tolist(),
                      "stderr_within_2pct": rel_ok, "passed": case_ok,
                      "estimate_body": est.to_json()})
     return {"rows": rows, "n_paths": n_paths, "n_steps": n_steps,
-            "passed": bool(ok)}
+            "passed": all(r["passed"] for r in rows)}
 
 
 def run_diverge(knobs):
@@ -294,7 +293,6 @@ def run_diverge(knobs):
     ds = knobs.get("d_values", [1, 2, 3, 4, 5, 6])
     cutoffs = np.asarray(knobs.get("cutoffs", default_cutoffs(T)))
     rows = []
-    ok = True
     for d in ds:
         rep = divergence_scan(d, T, cutoffs)
         expect = "convergent" if d == 1 else "divergent"
@@ -308,9 +306,8 @@ def run_diverge(knobs):
         else:
             row_ok &= rep.model == "power" and abs(rep.rate - (1.0 - d / 2.0)) <= 0.02
         row["passed"] = bool(row_ok)
-        ok &= row_ok
         rows.append(row)
-    return {"rows": rows, "T": T, "passed": bool(ok)}
+    return {"rows": rows, "T": T, "passed": all(r["passed"] for r in rows)}
 
 
 def run_ubound(knobs):
@@ -322,14 +319,9 @@ def run_ubound(knobs):
     angles = knobs.get("angles_per_radius", 16)
     limit = 0.5 * (1.0 + 1e-6)
     rows = []
-    worst = 0.0
     for trial in range(n_samples):
-        d = int(rng.integers(1, 4))
-        x = rng.uniform(-1.5, 1.5, size=d)
-        if np.linalg.norm(x) < 0.2:
-            x[0] += 0.5
+        d, x, phi = _random_instance(rng, 1.5)
         t = rng.uniform(0.5, 2.0)
-        phi = _random_phi(rng, d)
         if trial % 2 == 0:
             F = donsker_ufunctional(x, t)
             kind = "donsker"
@@ -337,9 +329,9 @@ def run_ubound(knobs):
             F = wick_integrand_ufunctional(x, t, 0)
             kind = "wick_integrand"
         fit = fit_ufunctional_bound(F, phi, radii, angles_per_radius=angles)
-        worst = max(worst, fit.C2)
         rows.append({"kind": kind, "d": d, "x": x.tolist(), "t": t,
                      "C1": fit.C1, "C2": fit.C2})
+    worst = _worst([r["C2"] for r in rows])
     return {"rows": rows, "worst_C2": worst, "limit": limit,
             "passed": bool(worst <= limit)}
 

@@ -217,7 +217,7 @@ def default_threads():
     return min(8, os.cpu_count() or 1)
 
 
-def mc_s_transform(cfg, phi, n_threads=None, control_variate=True):
+def mc_s_transform(cfg, phi, n_threads=None):
     """Empirical S-transform of the mollified current at phi.
 
     Estimates E[current * exp(<w, phi> - |phi|^2/2)] componentwise over
@@ -225,9 +225,9 @@ def mc_s_transform(cfg, phi, n_threads=None, control_variate=True):
     fixed-order pairwise fold, so the estimate is bit-identical for any
     thread count.
 
-    With control_variate=True (default) the unweighted current, whose mean
-    is exactly zero (Ito sum of an adapted integrand), is subtracted with
-    the regression coefficient estimated from the aggregated moments; this
+    The unweighted current, whose mean is exactly zero (Ito sum of an
+    adapted integrand), is subtracted as a control variate with the
+    regression coefficient estimated from the aggregated moments; this
     leaves the estimated expectation unchanged up to O(1/N) while removing
     the noise shared with the weight-free part of the sample.
     """
@@ -254,16 +254,12 @@ def mc_s_transform(cfg, phi, n_threads=None, control_variate=True):
 
     mean_g = sg / n_total
     var_g = np.maximum(sgg / n_total - mean_g ** 2, 0.0)
-    if control_variate:
-        mean_f = sf / n_total
-        var_f = np.maximum(sff / n_total - mean_f ** 2, 0.0)
-        cov = sgf / n_total - mean_g * mean_f
-        beta = np.where(var_f > 1e-300, cov / np.maximum(var_f, 1e-300), 0.0)
-        mean = mean_g - beta * mean_f
-        var = np.maximum(var_g - beta * cov, 0.0)
-    else:
-        mean = mean_g
-        var = var_g
+    mean_f = sf / n_total
+    var_f = np.maximum(sff / n_total - mean_f ** 2, 0.0)
+    cov = sgf / n_total - mean_g * mean_f
+    beta = np.where(var_f > 1e-300, cov / np.maximum(var_f, 1e-300), 0.0)
+    mean = mean_g - beta * mean_f
+    var = np.maximum(var_g - beta * cov, 0.0)
     var = var * n_total / max(n_total - 1, 1)
     stderr = np.sqrt(var / n_total)
     return MCEstimate(mean=mean, stderr=stderr, n_effective=n_total, config=cfg)

@@ -170,7 +170,7 @@ class TestFunction:
         vals = self.eval_all(t)
         return float(np.sqrt(0.5 * (b - a) * np.sum(vals ** 2 @ w)))
 
-    def sup_norm(self, grid_points=4001):
+    def sup_norm(self):
         """Upper estimate of sup_t max_i |phi_i(t)|.
 
         Dense grid search over the essential support of the basis, refined by
@@ -182,11 +182,11 @@ class TestFunction:
         h_{k+1} and h_k'' = (t^2 - 2k - 1) h_k.
         """
         half_width = np.sqrt(2.0 * (self.n_basis + 1)) + 8.0
-        t = np.linspace(-half_width, half_width, grid_points)
+        t = np.linspace(-half_width, half_width, 4001)
         vals = np.abs(self.eval_all(t))
         j = np.argmax(vals, axis=1)
         lo = t[np.maximum(j - 1, 0)]
-        hi = t[np.minimum(j + 1, grid_points - 1)]
+        hi = t[np.minimum(j + 1, t.size - 1)]
         k = np.arange(self.n_basis)[:, None]
         up, down = np.sqrt(k / 2.0), np.sqrt((k + 1) / 2.0)
         s = t[j]  # component i is refined at its own point s_i
@@ -227,8 +227,8 @@ class TestFunction:
         return cls([np.zeros(n_basis) for _ in range(d)])
 
     @classmethod
-    def basis_element(cls, d, i, k, coeff=1.0):
-        """Test function with a single coefficient c_{i,k} = coeff."""
+    def basis_element(cls, d, i, k):
+        """Test function with a single coefficient c_{i,k} = 1."""
         comps = [np.zeros(k + 1) for _ in range(d)]
-        comps[i][k] = coeff
+        comps[i][k] = 1.0
         return cls(comps)

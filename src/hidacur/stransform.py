@@ -225,8 +225,8 @@ def s_current_mollified(p, phi, eps2, tol=1e-10, full_output=False):
     in the kernel, so the integrand is bounded on (0, T].  full_output as
     in s_current.
     """
-    if not eps2 > 0.0:
-        raise ValueError(f"eps2 must be > 0, got {eps2}")
+    if not 0.0 < eps2 < np.inf:
+        raise ValueError(f"eps2 must be finite and > 0, got {eps2}")
     f, opts = _current_kernel(p, phi, eps2=eps2)
     res = integrate_singular(f, p.T, tol=tol, **opts)
     return (res.value, [res]) if full_output else res.value
@@ -291,8 +291,8 @@ def fit_ufunctional_bound(F, phi, radii, angles_per_radius=16):
     bound (the definition demands a majorant, not a best fit).
     """
     radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or not np.all(radii > 0.0):
-        raise ValueError("radii must be nonempty and positive")
+    if radii.size == 0 or not np.all((0.0 < radii) & (radii < np.inf)):
+        raise ValueError("radii must be nonempty, finite and positive")
     nrm2 = phi.combined_norm() ** 2
     thetas = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
     z = (radii[:, None] * np.exp(1j * thetas)).ravel()

@@ -23,7 +23,6 @@ class TestExtraction:
             phi = random_phi(rng, d, 5)
             pairing = extract_chaos_pairing(F, phi, 0)
             assert pairing.value == 0.0
-            assert pairing.order == 0
 
     def test_order_one_on_donsker_analytic_oracle(self, rng):
         # d/dz S delta(x - B(t))(z phi) at z=0
@@ -92,6 +91,13 @@ class TestExtraction:
             with pytest.raises(UnstableDerivativeError):
                 extract_chaos_pairing(UFunctional(noisy),
                                       random_phi(rng, 1, 3), 1)
+
+    def test_nan_sample_raises(self, rng):
+        # a NaN disagreement fails the contour check instead of passing it
+        nan = UFunctional(lambda z, phi: np.full(z.shape, np.nan, dtype=complex))
+        for n in (1, 2):
+            with pytest.raises(UnstableDerivativeError):
+                extract_chaos_pairing(nan, random_phi(rng, 1, 3), n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_current_extraction_is_one_quadrature(self, rng, monkeypatch, n):

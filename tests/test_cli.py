@@ -2,11 +2,15 @@
 
 import csv
 import json
+import math
 import os
+from types import SimpleNamespace
 
 import pytest
 
+from hidacur import experiments
 from hidacur.cli import main
+from hidacur.stransform import BoundFit
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -65,6 +69,19 @@ class TestExitCodes:
         assert main(["stransform", "--config", cfg,
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("kind, knobs", [
+        ("ubound", {"n_samples": 2, "radii": [2, 4, math.inf]}),
+        ("mollified", {"x": [0.5], "T": 1.0, "phi": phi_ref([[1.0]]),
+                       "eps2": math.inf}),
+        ("gamma-check", {"d_values": [1], "rtol": math.nan}),
+    ])
+    def test_non_finite_constant_is_config_error(self, tmp_path, capsys,
+                                                 kind, knobs):
+        # json.dumps writes Infinity and NaN; the config reader refuses them
+        cfg = write_config(tmp_path, "c.json", knobs)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "is not a JSON number" in capsys.readouterr().err
+
     def test_bad_seed_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"T": 1.0})
         assert main(["diverge", "--config", cfg, "--seed", str(2 ** 64)]) == 2
@@ -72,6 +89,38 @@ class TestExitCodes:
     def test_success_is_exit_0(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"T": 1.0})
         assert main(["diverge", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+class TestFailedCheck:
+    """A NaN row fails its runner's check, and a failed check exits 3."""
+
+    @pytest.mark.parametrize("kind, knobs, name, nan", [
+        ("gamma-check", {"d_values": [1, 2], "r_values": [1.0],
+                         "T_values": [1.0]},
+         "integrate_singular", SimpleNamespace(value=math.nan)),
+        ("chaos", {"order": 1, "n_instances": 3},
+         "first_chaos_pairing_closed", math.nan),
+        ("chaos", {"order": 2, "n_instances": 3},
+         "second_chaos_pairing_closed", math.nan),
+        ("ubound", {"n_samples": 3}, "fit_ufunctional_bound",
+         BoundFit(C1=math.nan, C2=math.nan)),
+    ])
+    def test_nan_row_fails_the_check(self, tmp_path, monkeypatch, kind, knobs,
+                                     name, nan):
+        real = getattr(experiments, name)
+        calls = []
+
+        def nan_first(*args, **kwargs):
+            # the first row gets NaN, every later row its real value
+            calls.append(1)
+            return nan if len(calls) == 1 else real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, nan_first)
+        cfg = write_config(tmp_path, "c.json", knobs)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 3
+        rec = json.loads((tmp_path / f"{kind}.json").read_text())
+        assert rec["passed"] is False
+        assert len(calls) > 1
 
 
 class TestRecords:

@@ -71,6 +71,13 @@ class TestValidation:
             divergence_scan(2, 1.0, [2.0, 0.1, 0.01, 0.001])
         with pytest.raises(ValueError):
             divergence_scan(2, 1.0, [0.1, 0.01, 0.001, 0.0])
+        with pytest.raises(ValueError):
+            divergence_scan(2, 1.0, [0.1, 0.01, np.nan, 0.0001])
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_non_finite_T(self, T):
+        with pytest.raises(ValueError):
+            divergence_scan(2, T, default_cutoffs(1.0))
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):

@@ -133,10 +133,12 @@ class TestMollifiedCurrentSample:
 
 class TestMCSTransform:
     def test_phi_zero_centered(self):
+        # at phi = 0 the weight is 1, so the sample is its own control
+        # variate and the estimate is exactly 0 +- 0
         cfg = small_cfg(n_paths=20_000)
-        est = mc_s_transform(cfg, TestFunction.zero(1, 2),
-                             control_variate=False)
-        assert np.all(np.abs(est.mean) <= 4 * est.stderr)
+        est = mc_s_transform(cfg, TestFunction.zero(1, 2))
+        assert est.mean.tolist() == [0.0]
+        assert est.stderr.tolist() == [0.0]
 
     def test_matches_closed_form_d1(self, rng):
         phi = TestFunction([[0.5]])
@@ -156,14 +158,16 @@ class TestMCSTransform:
         assert np.all(np.abs(est.mean - closed) <= 4 * est.stderr)
 
     def test_unbiased_over_seed_replicates(self):
-        # phi = 0: |mean| <= 4 stderr in >= 95% of 40 replicates
+        # |mean - closed| <= 4 stderr in >= 95% of 40 replicates
+        phi = TestFunction([[0.5]])
+        closed = s_current_mollified(CurrentParams([0.5], 1.0), phi, 0.05,
+                                     tol=1e-11)
         hits = 0
         for seed in range(40):
             cfg = small_cfg(n_paths=2000, n_steps=64, seed=seed,
                             block_size=1000)
-            est = mc_s_transform(cfg, TestFunction.zero(1, 2),
-                                 control_variate=False)
-            hits += bool(np.all(np.abs(est.mean) <= 4 * est.stderr))
+            est = mc_s_transform(cfg, phi)
+            hits += bool(np.all(np.abs(est.mean - closed) <= 4 * est.stderr))
         assert hits >= 38
 
     def test_stderr_shrinks_like_inverse_sqrt_n(self):
@@ -172,7 +176,7 @@ class TestMCSTransform:
         phi = TestFunction([[0.5]])
         for n in ns:
             cfg = small_cfg(n_paths=n, n_steps=128, seed=5)
-            est = mc_s_transform(cfg, phi, control_variate=False)
+            est = mc_s_transform(cfg, phi)
             stderrs.append(est.stderr[0])
         slope = np.polyfit(np.log(ns), np.log(stderrs), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.05)

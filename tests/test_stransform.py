@@ -270,9 +270,10 @@ class TestMollified:
         assert 5.0 < ratio < 20.0
 
     def test_eps2_domain(self):
-        with pytest.raises(ValueError):
-            s_current_mollified(CurrentParams([0.5], 1.0),
-                                TestFunction.zero(1), 0.0)
+        for eps2 in (0.0, np.inf):
+            with pytest.raises(ValueError):
+                s_current_mollified(CurrentParams([0.5], 1.0),
+                                    TestFunction.zero(1), eps2)
 
 
 class TestWickProduct:
@@ -437,7 +438,7 @@ class TestFitUFunctionalBound:
 
     def test_radii_must_be_positive(self, rng):
         phi = random_phi(rng, 1, 3)
-        for radii in ([], [0.0], [1.0, -2.0]):
+        for radii in ([], [0.0], [1.0, -2.0], [np.inf], [2.0, 4.0, np.inf]):
             with pytest.raises(ValueError):
                 fit_ufunctional_bound(constant_ufunctional(1.0), phi, radii)
 
