@@ -7,6 +7,7 @@ Run from the repository root; hidacur is imported from ./src.  The snapshot
 holds:
 
   * "machine": CPU count, platform, Python, numpy and scipy versions;
+  * "src_lines": the line count of src/hidacur/*.py, as wc -l totals it;
   * "perfbench": the last JSON line of perfbench/run.py --seed 1 for each
     workload, run for BENCHMARK.json's run_seconds;
   * "acceptance": per criterion 1-8, the wall time of its config at
@@ -52,6 +53,11 @@ def machine_record():
     return {"cpu_count": os.cpu_count(), "platform": platform.platform(),
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__}
+
+
+def src_lines():
+    return sum(p.read_bytes().count(b"\n")
+               for p in (ROOT / "src" / "hidacur").glob("*.py"))
 
 
 def perfbench(workload):
@@ -106,6 +112,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     snapshot = {
         "machine": machine_record(),
+        "src_lines": src_lines(),
         "perfbench": {w: perfbench(w) for w in WORKLOADS},
         "acceptance": acceptance(),
     }

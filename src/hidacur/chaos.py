@@ -56,13 +56,17 @@ def extract_chaos_pairing(F, phi, n):
     F is called once: at s = 0 for n = 0, otherwise on the N/2 + 1 points
     of the contour's upper half (the lower half is their conjugate for a
     real phi).  Raises ValueError for n >= N/2 and UnstableDerivativeError
-    unless the full and half sums agree to 1e-6 relative (floored at 1e-9
-    absolute), so a NaN sample raises too.
+    for a non-finite F(0) at n = 0, or at n >= 1 unless the full and half
+    sums agree to 1e-6 relative (floored at 1e-9 absolute), so a NaN sample
+    raises at every order.
     """
     if not 0 <= n < _N_CONTOUR // 2:
         raise ValueError(f"order must be in [0, {_N_CONTOUR // 2}), got {n}")
     if n == 0:
-        return ChaosPairing(value=complex(F(0.0, phi)).real, error_estimate=0.0)
+        value = complex(F(0.0, phi)).real
+        if not np.isfinite(value):
+            raise UnstableDerivativeError(f"order-0 sample is {value}")
+        return ChaosPairing(value=value, error_estimate=0.0)
     s = _R_CONTOUR * np.exp(1j * np.pi * np.arange(_N_CONTOUR // 2 + 1)
                             / (_N_CONTOUR // 2))
     u = F(s, phi)

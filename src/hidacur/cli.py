@@ -4,7 +4,8 @@
 
 Each kind runs one experiment runner and writes ``<kind>.json`` (and, with
 row data, a ``<kind>.csv`` of JSON-text cells) into ``--out``; records are
-idempotent given the config apart from the wall-time field.
+idempotent given the config apart from the wall-time field.  Both are strict
+JSON: a NaN or infinite value is written as null.
 
 Exit codes:
     0   success
@@ -53,6 +54,9 @@ def _build_parser():
 
 def _write_outputs(out_dir, kind, record):
     os.makedirs(out_dir, exist_ok=True)
+    # json.dumps writes NaN and +-inf bare; reading them back as null makes
+    # both files strict JSON and leaves every finite value as it was
+    record = json.loads(json.dumps(record), parse_constant=lambda name: None)
     path = os.path.join(out_dir, f"{kind}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -1,121 +1,44 @@
-"""Upper incomplete gamma function Gamma(a, x), including a <= 0.
+"""Upper incomplete gamma Gamma(a, x) at a = d/2 - 1, and the singular mass.
 
-scipy only exposes the regularized function for a > 0; the singular
-time-integral needs a = d/2 - 1, which is 0 or negative for d <= 2.
-Supported range |a| <= 10, x > 0 (all the artifact ever asks for).
-
-Algorithm selection:
-  a > 0            : series (x < a+1) or Lentz continued fraction (x >= a+1)
-  a <= 0, x >= 1   : continued fraction directly (converges for any a there)
-  a <= 0, x < 1    : reduce to a base value in (0,1] (via the lower-gamma
-                     series, or the E1 series when a is integer) and walk the
-                     recurrence Gamma(a,x) = (Gamma(a+1,x) - x^a e^-x)/a
-                     downward; no cancellation in this regime.
+Gamma(0, x) = E1(x) and Gamma(1/2, x) = sqrt(pi) e^-x erfcx(sqrt(x)) start the
+recurrence Gamma(a+1, x) = a Gamma(a, x) + x^a e^-x: positive terms, a few ulps
+(scipy's gammaincc is 40 ulps off at a = 1/2).  Gamma(-1/2, x) = 2 e^-x/sqrt(x)
+(1 - sqrt(pi x) erfcx(sqrt(x))), where erfcx keeps large x accurate.
 """
-
-from __future__ import annotations
 
 import math
 
 __all__ = ["upper_incomplete_gamma", "singular_mass_closed"]
 
-A_MAX = 10.0
-_EPS = 1e-16
-_MAX_ITER = 500
-_EULER_GAMMA = 0.5772156649015328606
-
-
-def _gamma_cf(a, x):
-    """Gamma(a,x) by modified Lentz continued fraction (NR style)."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(-x + a * math.log(x)) * h
-
-
-def _lower_gamma_series(a, x):
-    """gamma(a,x) (lower) by the standard power series; a > 0, x < a+1."""
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x))
-
-
-def _e1_series(x):
-    """E1(x) = Gamma(0,x) for 0 < x <= 1 via the convergent log series."""
-    total = -_EULER_GAMMA - math.log(x)
-    term = 1.0
-    for n in range(1, _MAX_ITER):
-        term *= -x / n
-        total -= term / n
-        if abs(term / n) < abs(total) * _EPS:
-            break
-    return total
-
 
 def upper_incomplete_gamma(a, x):
-    """Gamma(a, x) = int_x^inf y^{a-1} e^{-y} dy, relative error <= ~1e-12.
-
-    Raises ValueError for x <= 0 or |a| > 10.
-    """
-    a = float(a)
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"x must be > 0, got {x}")
-    if abs(a) > A_MAX:
-        raise ValueError(f"parameter a={a} outside supported range |a| <= {A_MAX}")
-
-    if a > 0.0:
-        if x < a + 1.0:
-            return math.gamma(a) - _lower_gamma_series(a, x)
-        return _gamma_cf(a, x)
-
-    # a <= 0
-    if x >= 1.0:
-        return _gamma_cf(a, x)
-
-    # x < 1: build a base value at a0 in (0, 1] (or via E1 at 0), recurse down
-    if a == math.floor(a):
-        val = _e1_series(x)  # Gamma(0, x)
-        a0 = 0.0
+    """Gamma(a, x) = int_x^inf y^{a-1} e^{-y} dy for 0 < x < inf and
+    a in {-1/2, 0, 1/2, ..., 10}; ValueError for any other a or x."""
+    # a top-level import, run while stransform loads, slows `import hidacur` 10%
+    from scipy.special import erfcx, exp1
+    a, x = float(a), float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"x must be finite and > 0, got {x}")
+    if not (-0.5 <= a <= 10.0 and (2.0 * a).is_integer()):
+        raise ValueError(f"parameter a={a} is not d/2 - 1 with |a| <= 10")
+    s, e = math.sqrt(x), math.exp(-x)
+    if a == -0.5:
+        return 2.0 * e / s * (1.0 - math.sqrt(math.pi) * s * float(erfcx(s)))
+    if a.is_integer():
+        b, value, term = 0.0, float(exp1(x)), e
     else:
-        a0 = a - math.floor(a)  # in (0, 1)
-        val = math.gamma(a0) - _lower_gamma_series(a0, x)
-    aa = a0
-    while aa > a + 0.5:
-        aa -= 1.0
-        val = (val - math.exp(aa * math.log(x) - x)) / aa
-    return val
+        b, value, term = 0.5, math.sqrt(math.pi) * e * float(erfcx(s)), s * e
+    while b < a:  # term = x^b e^-x
+        value = b * value + term
+        term *= x
+        b += 1.0
+    return value
 
 
 def singular_mass_closed(d, r, T):
-    """int_0^T t^{-d/2} exp(-r^2 / (2 t)) dt in closed form.
-
-    Equals 2^{d/2-1} r^{2-d} Gamma(d/2 - 1, r^2 / (2 T)).  Requires r > 0
-    (the identity fails at the origin; use the divergence diagnostics there).
-    """
+    """int_0^T t^{-d/2} exp(-r^2 / (2 t)) dt = 2^{d/2-1} r^{2-d} Gamma(d/2 - 1,
+    r^2 / (2 T)).  Requires r > 0: the identity fails at the origin, where the
+    divergence diagnostics apply."""
     if d < 1 or d != int(d):
         raise ValueError(f"d must be a positive integer, got {d}")
     if not r > 0.0:

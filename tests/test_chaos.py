@@ -93,9 +93,9 @@ class TestExtraction:
                                       random_phi(rng, 1, 3), 1)
 
     def test_nan_sample_raises(self, rng):
-        # a NaN disagreement fails the contour check instead of passing it
+        # a NaN F(0), or a NaN disagreement of the contour sums, raises
         nan = UFunctional(lambda z, phi: np.full(z.shape, np.nan, dtype=complex))
-        for n in (1, 2):
+        for n in (0, 1, 2):
             with pytest.raises(UnstableDerivativeError):
                 extract_chaos_pairing(nan, random_phi(rng, 1, 3), n)
 

@@ -4,11 +4,12 @@ import csv
 import json
 import math
 import os
+import warnings
 from types import SimpleNamespace
 
 import pytest
 
-from hidacur import experiments
+from hidacur import cli, experiments
 from hidacur.cli import main
 from hidacur.stransform import BoundFit
 
@@ -92,7 +93,8 @@ class TestExitCodes:
 
 
 class TestFailedCheck:
-    """A NaN row fails its runner's check, and a failed check exits 3."""
+    """A NaN row fails its runner's check, a failed check exits 3, and its
+    record and CSV are strict JSON."""
 
     @pytest.mark.parametrize("kind, knobs, name, nan", [
         ("gamma-check", {"d_values": [1, 2], "r_values": [1.0],
@@ -118,9 +120,24 @@ class TestFailedCheck:
         monkeypatch.setattr(experiments, name, nan_first)
         cfg = write_config(tmp_path, "c.json", knobs)
         assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 3
-        rec = json.loads((tmp_path / f"{kind}.json").read_text())
+        with open(tmp_path / f"{kind}.json") as fh:
+            rec = json.load(fh, parse_constant=cli._reject_constant)
         assert rec["passed"] is False
         assert len(calls) > 1
+        with open(tmp_path / f"{kind}.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                for cell in row.values():
+                    json.loads(cell, parse_constant=cli._reject_constant)
+
+    def test_no_ratio_rows_give_null_mean(self, monkeypatch):
+        # every second-chaos value NaN: no row has |paper| > 1e-10
+        monkeypatch.setattr(experiments, "second_chaos_pairing_closed",
+                            lambda *args, **kwargs: math.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = experiments.run_second_chaos({"n_instances": 2})
+        assert rec["mean_ratio_derivative_to_paper"] is None
+        assert rec["passed"] is False
 
 
 class TestRecords:
