@@ -16,20 +16,22 @@ upper limit in the integration variable, so Gauss nodes land where a
 Hermite test function varies for any T.  Each panel gets an embedded
 Gauss-Legendre pair (16 vs 32 nodes).  It is accepted when the pair agrees
 to max(tol (b - a) / U, tol / 8000), or when floating point cannot split it;
-otherwise it is bisected.  The integrand is never evaluated at t = 0.  A
-result always carries a summed error estimate <= tol; otherwise
+otherwise it is bisected.  The panels are refined breadth first: one
+integrand call per sweep evaluates every open panel, and the accepted set
+does not depend on that order.  The integrand is never evaluated at t = 0.
+A result always carries a summed error estimate <= tol; otherwise
 QuadratureBudgetError is raised with the sum accepted so far.
 
-Integrands must accept numpy arrays of nodes; complex-valued integrands are
-supported (needed for S-transforms at complex scaling).  A vector integrand
-returns shape (k, n) for n nodes: its k rows share one mesh, every
-refinement test uses the worst row, and value and error are (k,) arrays.
+Integrands must accept a 1-d numpy array of nodes, which holds the nodes of
+many panels in no particular order; complex-valued integrands are supported
+(needed for S-transforms at complex scaling).  A vector integrand returns
+shape (k, n) for n nodes: its k rows share one mesh, every refinement test
+uses the worst row, and value and error are (k,) arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,31 +51,10 @@ class QuadResult:
     node_count: int
 
 
-@lru_cache(maxsize=None)
-def _gauss(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _worst(a):
-    """Largest row of a per-row value; skips numpy's slow scalar reduction."""
-    return a.max() if a.ndim else a
-
-
-def _panel(f, a, b):
-    """Embedded 16/32-point Gauss estimate of int_a^b f; returns (I, err),
-    each per row for a (k, n) integrand."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x16, w16 = _gauss(16)
-    x32, w32 = _gauss(32)
-    f16 = np.asarray(f(mid + half * x16))
-    f32 = np.asarray(f(mid + half * x32))
-    if not (np.all(np.isfinite(f16)) and np.all(np.isfinite(f32))):
-        raise IntegrandFailureError(f"integrand returned NaN/inf on [{a}, {b}]")
-    # .T is a no-op on one row, so a scalar integrand sums as it always has
-    i16 = half * np.dot(w16, f16.T)
-    i32 = half * np.dot(w32, f32.T)
-    return i32, abs(i32 - i16)
+# the embedded Gauss-Legendre pair: a panel's 16 nodes, then its 32
+_X16, _W16 = np.polynomial.legendre.leggauss(16)
+_X32, _W32 = np.polynomial.legendre.leggauss(32)
+_X = np.concatenate([_X16, _X32])
 
 
 def integrate_singular(f, T, sing_exponent, tol, damping=None,
@@ -122,27 +103,35 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None,
     edges = [0.0, min(U, 1.0)]
     while edges[-1] < U:
         edges.append(min(2.0 * edges[-1], U))
-    # popped left to right; a bisected panel pushes its right half first
-    stack = list(zip(edges[:-1], edges[1:]))[::-1]
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
     total = err_total = 0.0
     nodes = 0
-    while stack:
-        a, b = stack.pop()
-        if nodes + 48 > node_budget:
+    while a.size:
+        if nodes + _X.size * a.size > node_budget:
             raise QuadratureBudgetError(
                 f"node budget {node_budget} exhausted", best_estimate=total)
-        nodes += 48
-        val, err = _panel(g, a, b)
-        mid = 0.5 * (a + b)
-        if _worst(err) <= max(tol * (b - a) / U, tol / _FLOOR) \
-                or not a < mid < b:
-            total = total + val
-            err_total = err_total + err
-        else:
-            stack += [(mid, b), (a, mid)]
-    if _worst(err_total) > tol:
+        nodes += _X.size * a.size
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        fx = np.asarray(g((mid[:, None] + half[:, None] * _X).ravel()))
+        # (k, panels, 48) for a vector integrand, (panels, 48) for a scalar
+        fx = fx.reshape(fx.shape[:-1] + (a.size, _X.size))
+        if not np.all(np.isfinite(fx)):
+            j = np.nonzero(~np.isfinite(fx))[-2].min()
+            raise IntegrandFailureError(
+                f"integrand returned NaN/inf on [{a[j]}, {b[j]}]")
+        val = half * (fx[..., 16:] @ _W32)
+        err = abs(val - half * (fx[..., :16] @ _W16))
+        done = (err.reshape(-1, a.size).max(axis=0)
+                <= np.maximum(tol * (b - a) / U, tol / _FLOOR)) \
+            | ~((a < mid) & (mid < b))
+        total = total + val[..., done].sum(axis=-1)
+        err_total = err_total + err[..., done].sum(axis=-1)
+        a, mid, b = a[~done], mid[~done], b[~done]
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    worst = np.max(err_total)
+    if worst > tol:
         raise QuadratureBudgetError(
-            f"error estimate {_worst(err_total):g} misses tol {tol:g}",
+            f"error estimate {worst:g} misses tol {tol:g}",
             best_estimate=total)
 
     if np.ndim(total) == 0:

@@ -13,14 +13,15 @@ __all__ = ["upper_incomplete_gamma", "singular_mass_closed"]
 
 def upper_incomplete_gamma(a, x):
     """Gamma(a, x) = int_x^inf y^{a-1} e^{-y} dy for 0 < x < inf and
-    a in {-1/2, 0, 1/2, ..., 10}; ValueError for any other a or x."""
+    a in {-1/2, 0, 1/2, 1, ...}; ValueError for any other a or x, and for a
+    value that overflows."""
     # a top-level import, run while stransform loads, slows `import hidacur` 10%
     from scipy.special import erfcx, exp1
     a, x = float(a), float(x)
     if not 0.0 < x < math.inf:
         raise ValueError(f"x must be finite and > 0, got {x}")
-    if not (-0.5 <= a <= 10.0 and (2.0 * a).is_integer()):
-        raise ValueError(f"parameter a={a} is not d/2 - 1 with |a| <= 10")
+    if not (a >= -0.5 and (2.0 * a).is_integer()):
+        raise ValueError(f"parameter a={a} is not d/2 - 1 for a dimension d")
     s, e = math.sqrt(x), math.exp(-x)
     if a == -0.5:
         return 2.0 * e / s * (1.0 - math.sqrt(math.pi) * s * float(erfcx(s)))
@@ -28,10 +29,13 @@ def upper_incomplete_gamma(a, x):
         b, value, term = 0.0, float(exp1(x)), e
     else:
         b, value, term = 0.5, math.sqrt(math.pi) * e * float(erfcx(s)), s * e
-    while b < a:  # term = x^b e^-x
+    # term = x^b e^-x; stop once value is inf, or 0 with e^-x underflowed
+    while b < a and value < math.inf and (value or term):
         value = b * value + term
         term *= x
         b += 1.0
+    if value == math.inf:
+        raise ValueError(f"Gamma({a}, {x}) overflows a float")
     return value
 
 
@@ -46,4 +50,10 @@ def singular_mass_closed(d, r, T):
     if not T > 0.0:
         raise ValueError(f"T must be > 0, got {T}")
     a = d / 2.0 - 1.0
-    return 2.0 ** a * r ** (2.0 - d) * upper_incomplete_gamma(a, r * r / (2.0 * T))
+    try:
+        mass = 2.0 ** a * r ** (2.0 - d) * upper_incomplete_gamma(a, r * r / (2.0 * T))
+    except OverflowError:  # a float power overflows by raising, not as inf
+        mass = math.inf
+    if mass == math.inf:
+        raise ValueError(f"the singular mass at d={d}, r={r}, T={T} overflows")
+    return mass

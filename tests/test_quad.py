@@ -28,6 +28,41 @@ class TestExamples:
         assert res.node_count > 0
 
 
+class TestSweeps:
+    # (case, tol, integrand calls, nodes): one call per breadth-first sweep
+    # of the open panels; the node counts pin the accepted panel set
+    SWEEPS = [(0, 1e-6, 1, 48), (0, 1e-10, 1, 48),
+              (1, 1e-6, 3, 240), (1, 1e-10, 5, 432),
+              (2, 1e-6, 1, 96), (2, 1e-10, 1, 96)]
+
+    @staticmethod
+    def run(case, tol, **kw):
+        name, f, T, p, damping, exact = CASES[case]
+        calls = []
+
+        def counted(t):
+            calls.append(t.size)
+            return f(t)
+
+        res = integrate_singular(counted, T, sing_exponent=p, tol=tol,
+                                 damping=damping, **kw)
+        return res, calls
+
+    @pytest.mark.parametrize("case,tol,n_calls,nodes", SWEEPS)
+    def test_one_call_per_sweep(self, case, tol, n_calls, nodes):
+        res, calls = self.run(case, tol)
+        assert len(calls) == n_calls
+        assert res.node_count == sum(calls) == nodes
+
+    @pytest.mark.parametrize("case,tol,n_calls,nodes", SWEEPS)
+    def test_budget_boundary(self, case, tol, n_calls, nodes):
+        res, _ = self.run(case, tol, node_budget=nodes)
+        assert res.node_count == nodes
+        with pytest.raises(QuadratureBudgetError) as excinfo:
+            self.run(case, tol, node_budget=nodes - 1)
+        assert excinfo.value.best_estimate is not None
+
+
 class TestErrorEstimate:
     def test_estimate_bounds_true_error(self):
         # sampled tolerances; the reported estimate must bound the true
@@ -63,7 +98,8 @@ class TestFailures:
         def f(t):
             return np.where(t < 0.5, np.nan, 1.0)
 
-        with pytest.raises(IntegrandFailureError):
+        with pytest.raises(IntegrandFailureError,
+                           match=r"NaN/inf on \[0\.0, 1\.0\]"):
             integrate_singular(f, 1.0, sing_exponent=0.0, tol=1e-8)
 
     def test_budget_error_carries_best_estimate(self):

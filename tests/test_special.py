@@ -56,9 +56,11 @@ class TestUpperIncompleteGamma:
             upper_incomplete_gamma(0.5, -1.0)
         with pytest.raises(ValueError):
             upper_incomplete_gamma(0.5, np.inf)
-        for a in (11.0, -10.5, -1.0, -1.5, 0.25):
+        for a in (-10.5, -1.0, -1.5, 0.25):
             with pytest.raises(ValueError):
                 upper_incomplete_gamma(a, 1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            upper_incomplete_gamma(199.0, 0.5)
 
 
 class TestSingularMassClosed:
@@ -87,6 +89,20 @@ class TestSingularMassClosed:
                         T, sing_exponent=-d / 2.0,
                         tol=1e-12 * max(closed, 1.0), damping=r * r / 2.0)
                     assert abs(res.value - closed) <= 1e-9 * closed
+
+    def test_high_dimensions_against_mpmath(self):
+        # 2^a r^(2-d) Gamma(a, r^2/2T) at r = T = 1, a = d/2 - 1 up to 19
+        for d in (24, 30, 40):
+            a = d / 2.0 - 1.0
+            ref = float(2 ** mpmath.mpf(a) * mpmath.gammainc(a, 0.5, mpmath.inf))
+            assert abs(singular_mass_closed(d, 1.0, 1.0) - ref) <= 1e-12 * ref
+
+    def test_overflow_raises(self):
+        # d = 340: Gamma(169, 1/2) is finite, the mass is not; d = 30 at
+        # r = 1e-12: r^(2-d) overflows
+        for d, r in ((340, 1.0), (30, 1e-12)):
+            with pytest.raises(ValueError, match="overflows"):
+                singular_mass_closed(d, r, 1.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
