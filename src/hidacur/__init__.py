@@ -15,10 +15,9 @@ from .quad import QuadResult, integrate_singular
 from .schwartz import TestFunction
 from .special import singular_mass_closed, upper_incomplete_gamma
 from .stransform import (BoundFit, CurrentParams, UFunctional,
-                         check_integrability, constant_ufunctional,
-                         current_ufunctional, donsker_ufunctional,
-                         fit_ufunctional_bound, s_current,
-                         s_current_mollified, s_donsker, s_white_noise,
-                         wick_integrand_ufunctional, wick_product)
+                         check_integrability, current_ufunctional,
+                         donsker_ufunctional, fit_ufunctional_bound,
+                         s_current, s_current_mollified, s_donsker,
+                         wick_integrand_ufunctional)
 
 __version__ = "0.1.0"

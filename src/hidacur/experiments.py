@@ -252,10 +252,11 @@ def run_second_chaos(knobs):
 
 def run_mc(knobs):
     """Monte Carlo vs the mollified closed form (criterion 5).  A "seed"
-    knob reseeds case k with seed + k."""
+    knob reseeds case k with (seed + k) mod 2^64."""
     cases = knobs.get("cases", MC_ACCEPTANCE_CASES)
     if "seed" in knobs:
-        cases = [dict(c, seed=knobs["seed"] + k) for k, c in enumerate(cases)]
+        cases = [dict(c, seed=(knobs["seed"] + k) % 2 ** 64)
+                 for k, c in enumerate(cases)]
     n_paths = knobs.get("n_paths", 200000)
     n_steps = knobs.get("n_steps", 4096)
     # fraction of the closed-form magnitude the stderr must stay under;

@@ -1,15 +1,16 @@
 """Path-level verification of the closed-form S-transforms.
 
 Brownian paths are simulated blockwise from a counter-based Philox
-generator keyed on (seed, block), so every (path, step, component)
-increment is a pure function of the config and the result is bit-identical
-no matter how many worker threads run the blocks.  The normals come from a
-vectorised Box-Muller transform of the raw Philox bits (see
-``simulate_increments``).  A block (``DEFAULT_BLOCK_SIZE`` paths) is the
+generator keyed on (seed, block), with any seed in [0, 2^64), so every
+(path, step, component) increment is a pure function of the config and the
+result is bit-identical no matter how many worker threads run the blocks.
+The normals come from a vectorised Box-Muller transform of the raw Philox
+bits (see ``simulate_increments``).  A block (``BLOCK_SIZE`` paths) is the
 unit of keying and of thread work; inside it, the sampler and the current
 kernel run over chunks of ``CHUNK_PATHS`` paths, whose arrays stay in the
-core's L2 cache while the passes over them run.  The mollified current is
-realized as a left-endpoint (Ito) Riemann sum
+core's L2 cache while the passes over them run.  Paths are drawn and summed
+in ``DTYPE`` (float32); the moments are reduced in float64.  The mollified
+current is realized as a left-endpoint (Ito) Riemann sum
 
     sum_k p_eps2(x - B(t_k)) dB(t_k),
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -32,7 +34,9 @@ import numpy as np
 __all__ = ["MCConfig", "MCEstimate", "simulate_increments",
            "mollified_current_sample", "mc_s_transform", "default_threads"]
 
-DEFAULT_BLOCK_SIZE = 1024
+BLOCK_SIZE = 1024
+# bulk path arithmetic; reductions stay float64
+DTYPE = np.float32
 # paths per chunk: a chunk's float32 arrays (32 paths x 4096 steps is
 # 512 KiB per component) stay in L2 through the sampler and kernel passes
 CHUNK_PATHS = 32
@@ -47,8 +51,6 @@ class MCConfig:
     n_steps: int
     eps2: float
     seed: int
-    block_size: int = DEFAULT_BLOCK_SIZE
-    dtype: str = "float32"  # bulk path arithmetic; reductions stay float64
 
     def __post_init__(self):
         x = tuple(float(v) for v in np.atleast_1d(self.x))
@@ -59,44 +61,37 @@ class MCConfig:
             raise ValueError(f"x must be finite, got {list(x)}")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
+        if not (isinstance(self.seed, numbers.Integral)
+                and 0 <= self.seed < 2 ** 64):
+            raise ValueError(
+                f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if not 0.0 < self.eps2 < math.inf:
             raise ValueError(f"eps2 must be finite and > 0, got {self.eps2}")
         if not 0.0 < self.T < math.inf:
             raise ValueError(f"T must be finite and > 0, got {self.T}")
-        if self.dtype not in ("float32", "float64"):
-            raise ValueError(f"dtype must be float32 or float64, got {self.dtype}")
 
     @property
     def n_blocks(self):
-        return math.ceil(self.n_paths / self.block_size)
+        return math.ceil(self.n_paths / BLOCK_SIZE)
 
     def block_paths(self, block):
-        lo = block * self.block_size
-        return min(self.block_size, self.n_paths - lo)
-
-    def to_json(self):
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, s):
-        return cls(**json.loads(s))
+        return min(BLOCK_SIZE, self.n_paths - block * BLOCK_SIZE)
 
 
 @dataclass(frozen=True, eq=False)
 class MCEstimate:
     mean: np.ndarray            # (d,)
     stderr: np.ndarray          # (d,)
-    n_effective: int
     config: MCConfig
 
     def to_json(self):
+        # the body also names the block size and dtype the paths were drawn in
         return json.dumps({
             "mean": self.mean.tolist(),
             "stderr": self.stderr.tolist(),
-            "n_effective": self.n_effective,
-            "config": asdict(self.config),
+            "n_effective": self.config.n_paths,
+            "config": {**asdict(self.config), "block_size": BLOCK_SIZE,
+                       "dtype": np.dtype(DTYPE).name},
         })
 
 
@@ -105,13 +100,13 @@ def simulate_increments(cfg, block):
 
     i.i.d. N(0, T/M) per step per component; deterministic in (seed, block).
 
-    The block's stream is Philox keyed on [seed, block] (keyed, not
-    advanced, so a block never depends on scheduling), read in chunks of
-    ``CHUNK_PATHS`` paths.  Each 32-bit half of its raw 64-bit output gives
-    a midpoint uniform u = (k + 1/2) 2^-24 from its top 24 bits k, strictly
-    inside (0, 1).  A vectorised Box-Muller transform pairs a radius uniform
-    u1 from the first half of a chunk's words with an angle uniform u2 from
-    the second half and returns sqrt(-2 ln u1) cos(2 pi u2) and
+    The block's stream is Philox keyed on the uint64 pair (seed, block)
+    (keyed, not advanced, so a block never depends on scheduling), read in
+    chunks of ``CHUNK_PATHS`` paths.  Each 32-bit half of its raw 64-bit
+    output gives a midpoint uniform u = (k + 1/2) 2^-24 from its top 24 bits
+    k, strictly inside (0, 1).  A vectorised Box-Muller transform pairs a
+    radius uniform u1 from the first half of a chunk's words with an angle
+    uniform u2 from the second half and returns sqrt(-2 ln u1) cos(2 pi u2) and
     sqrt(-2 ln u1) sin(2 pi u2).  Since u1 >= 2^-25, no draw exceeds
     sqrt(50 ln 2) ~ 5.9 standard deviations, which a true normal does with
     probability ~4e-9.
@@ -122,8 +117,10 @@ def simulate_increments(cfg, block):
     if not 0 <= block < cfg.n_blocks:
         raise IndexError(f"block {block} out of range")
     n, m, d = cfg.block_paths(block), cfg.n_steps, cfg.d
-    bitgen = np.random.Philox(key=[cfg.seed, block])
-    out = np.empty((n, d, m), dtype=cfg.dtype)
+    # a uint64 array: a Python list would pass through float64 and lose the
+    # low bits of a seed >= 2^63
+    bitgen = np.random.Philox(key=np.array([cfg.seed, block], dtype=np.uint64))
+    out = np.empty((n, d, m), dtype=DTYPE)
     for lo in range(0, n, CHUNK_PATHS):
         _box_muller(bitgen, out[lo:lo + CHUNK_PATHS].reshape(-1), cfg.T / m)
     return out.transpose(0, 2, 1)
@@ -262,4 +259,4 @@ def mc_s_transform(cfg, phi, n_threads=None):
     var = np.maximum(var_g - beta * cov, 0.0)
     var = var * n_total / max(n_total - 1, 1)
     stderr = np.sqrt(var / n_total)
-    return MCEstimate(mean=mean, stderr=stderr, n_effective=n_total, config=cfg)
+    return MCEstimate(mean=mean, stderr=stderr, config=cfg)

@@ -39,7 +39,8 @@ from .errors import IntegrandFailureError, QuadratureBudgetError
 
 __all__ = ["QuadResult", "integrate_singular"]
 
-DEFAULT_NODE_BUDGET = 10 ** 6
+# cap on integrand evaluations (nodes, not rows), read at each call
+NODE_BUDGET = 10 ** 6
 # a panel whose error is below tol / _FLOOR is accepted at any width
 _FLOOR = 8000.0
 
@@ -57,8 +58,7 @@ _X32, _W32 = np.polynomial.legendre.leggauss(32)
 _X = np.concatenate([_X16, _X32])
 
 
-def integrate_singular(f, T, sing_exponent, tol, damping=None,
-                       node_budget=DEFAULT_NODE_BUDGET):
+def integrate_singular(f, T, sing_exponent, tol, damping=None):
     """Integrate f over (0, T] with estimated absolute error <= tol.
 
     Parameters
@@ -72,9 +72,8 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None,
     tol : requested absolute error, per row for a (k, n) integrand.
     damping : optional c > 0 when f carries a factor exp(-c/t).  Only its
         sign is used: it says that f is flat at 0, for any exponent.
-    node_budget : cap on integrand evaluations (nodes, not rows).
 
-    Raises QuadratureBudgetError (with .best_estimate) when the budget runs
+    Raises QuadratureBudgetError (with .best_estimate) when NODE_BUDGET runs
     out or the summed error estimate misses tol, IntegrandFailureError on a
     non-finite integrand value.  A scalar integrand gets a Python float or
     complex value and a float error.
@@ -107,9 +106,9 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None,
     total = err_total = 0.0
     nodes = 0
     while a.size:
-        if nodes + _X.size * a.size > node_budget:
+        if nodes + _X.size * a.size > NODE_BUDGET:
             raise QuadratureBudgetError(
-                f"node budget {node_budget} exhausted", best_estimate=total)
+                f"node budget {NODE_BUDGET} exhausted", best_estimate=total)
         nodes += _X.size * a.size
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         fx = np.asarray(g((mid[:, None] + half[:, None] * _X).ravel()))

@@ -80,9 +80,8 @@ class TestFunction:
     """phi in S_d, represented by Hermite coefficients per component.
 
     components[i][k] is the coefficient of h_k in component i.  Immutable;
-    all operations are pure and safe for concurrent readers.  Two test
-    functions are equal when their stored components are: the same count,
-    the same lengths and the same values (so trailing zeros count).
+    all operations are pure and safe for concurrent readers.  Test
+    functions compare by identity.
     """
 
     components: tuple = field(default_factory=tuple)
@@ -99,17 +98,6 @@ class TestFunction:
             coef[i, : len(c)] = c
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_coef", coef)
-
-    def __eq__(self, other):
-        if not isinstance(other, TestFunction):
-            return NotImplemented
-        return len(self.components) == len(other.components) and all(
-            len(a) == len(b) and np.array_equal(a, b)
-            for a, b in zip(self.components, other.components))
-
-    def __hash__(self):
-        # tolist() gives Python floats, which hash -0.0 and 0.0 alike
-        return hash(tuple(tuple(c.tolist()) for c in self.components))
 
     @property
     def dimension(self):

@@ -2,7 +2,6 @@
 
 Everything here is an explicit integral formula:
 
-  * white noise:            S W_i(t)(phi) = phi_i(t)
   * heat-kernel delta:      S delta(x - B(t))(z phi)
                               = (2 pi t)^(-d/2) exp(-(1/2t) sum_j (x_j - z c_j(t))^2)
   * current component:      S xi_i(x)(phi)
@@ -44,15 +43,12 @@ __all__ = [
     "CurrentParams",
     "UFunctional",
     "BoundFit",
-    "s_white_noise",
     "s_donsker",
     "s_current",
     "s_current_mollified",
     "current_ufunctional",
     "donsker_ufunctional",
     "wick_integrand_ufunctional",
-    "constant_ufunctional",
-    "wick_product",
     "check_integrability",
     "fit_ufunctional_bound",
 ]
@@ -125,11 +121,6 @@ class BoundFit:
 
     C1: float
     C2: float
-
-
-def s_white_noise(phi, t, i):
-    """S-transform of white noise component i: just phi_i(t)."""
-    return phi.eval(t, i)
 
 
 def s_donsker(x, t, phi, z=1.0):
@@ -257,17 +248,6 @@ def wick_integrand_ufunctional(x, t, i):
     S(delta(x - B(t)))(z phi) * z phi_i(t)."""
     return UFunctional(
         lambda z, phi: s_donsker(x, t, phi, z) * z * phi.eval(t, i))
-
-
-def constant_ufunctional(c):
-    """S-transform of the constant c (the unit for the Wick product at c=1)."""
-    return UFunctional(lambda z, phi: np.full(z.shape, c))
-
-
-def wick_product(F, G):
-    """Wick product on the S-transform side: pointwise product, elementwise
-    over a vector of z."""
-    return UFunctional(lambda z, phi: F(z, phi) * G(z, phi))
 
 
 def check_integrability(p):

@@ -241,6 +241,22 @@ class TestRecords:
         for a, b in zip(r1["rows"], r2["rows"]):
             assert a["mc_mean"] != b["mc_mean"]
 
+    def test_mc_top_seed_wraps_per_case(self, tmp_path):
+        # case k gets (seed + k) mod 2^64, so seed + 1 must not overflow
+        # the generator key
+        cfg = write_config(tmp_path, "c.json", {
+            "n_paths": 64, "n_steps": 16, "stderr_fraction": None})
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path),
+                     "--seed", str(2 ** 64 - 1)]) == 0
+        rows = json.loads((tmp_path / "mc.json").read_text())["rows"]
+        assert [r["seed"] for r in rows] == [2 ** 64 - 1, 0, 1, 2]
+
+    def test_mc_case_seed_outside_u64_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "n_paths": 64, "n_steps": 16, "stderr_fraction": None,
+            "cases": [{"d": 1, "x": [0.5], "eps2": 0.05, "seed": -1}]})
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+
     def test_mc_explicit_cases_keep_their_seeds(self, tmp_path):
         from hidacur.experiments import mc_acceptance_phi
         from hidacur.montecarlo import MCConfig, mc_s_transform

@@ -1,7 +1,7 @@
 """Deterministic parallel Monte Carlo verification of the closed forms."""
 
+import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from scipy import stats
 from hidacur import (CurrentParams, MCConfig, TestFunction, mc_s_transform,
                      mollified_current_sample, s_current_mollified,
                      simulate_increments)
-from hidacur.montecarlo import _box_muller, default_threads
+from hidacur.montecarlo import BLOCK_SIZE, _box_muller, default_threads
 
 
 def small_cfg(**kw):
@@ -20,17 +20,22 @@ def small_cfg(**kw):
     return MCConfig(**base)
 
 
+def all_increments(cfg):
+    """Every block's increments, concatenated along the path axis."""
+    return np.concatenate([simulate_increments(cfg, b)
+                           for b in range(cfg.n_blocks)])
+
+
 class TestIncrements:
     def test_mean_centered(self):
-        cfg = small_cfg(n_paths=100_000, n_steps=2, block_size=100_000)
-        inc = simulate_increments(cfg, 0)
-        flat = inc.ravel().astype(np.float64)
+        cfg = small_cfg(n_paths=100_000, n_steps=2)
+        flat = all_increments(cfg).ravel().astype(np.float64)
         stderr = flat.std() / np.sqrt(flat.size)
         assert abs(flat.mean()) <= 4 * stderr
 
     def test_variance_matches_dt(self):
-        cfg = small_cfg(n_paths=2000, n_steps=128, block_size=2000)
-        inc = simulate_increments(cfg, 0).astype(np.float64)
+        cfg = small_cfg(n_paths=2000, n_steps=128)
+        inc = all_increments(cfg).astype(np.float64)
         dt = cfg.T / cfg.n_steps
         assert inc.var() == pytest.approx(dt, rel=0.01)
 
@@ -53,7 +58,7 @@ class TestIncrements:
     def test_law_of_one_block(self):
         # 2^20 draws of one block against N(0, T/M): Kolmogorov-Smirnov and
         # the fourth moment E z^4 = 3 (Var z^4 = 105 - 9 = 96)
-        cfg = small_cfg(n_paths=1024, n_steps=1024, block_size=1024)
+        cfg = small_cfg(n_paths=1024, n_steps=1024)
         z = simulate_increments(cfg, 0).ravel().astype(np.float64)
         z /= math.sqrt(cfg.T / cfg.n_steps)
         assert stats.kstest(z, "norm").pvalue > 1e-3
@@ -71,8 +76,27 @@ class TestIncrements:
         assert z[0] == pytest.approx(math.sqrt(50 * math.log(2)), rel=1e-6)
         assert stats.norm.sf(z[0]) * 2 == pytest.approx(4e-9, rel=0.05)
 
+    def test_seeds_at_and_above_2_63_key_their_own_streams(self):
+        # a list key would pass through float64 and key 2^63 + 12345 and
+        # 2^63 + 12346 both as 2^63 + 12288, and 2^64 - 1 as seed 0
+        seeds = [0, 1, 2 ** 63, 2 ** 63 + 1, 2 ** 63 + 12288, 2 ** 63 + 12345,
+                 2 ** 63 + 12346, 2 ** 64 - 2, 2 ** 64 - 1]
+        draws = [simulate_increments(small_cfg(n_paths=4, n_steps=8, seed=s),
+                                     0).tobytes() for s in seeds]
+        assert len(set(draws)) == len(seeds)
+
+    @pytest.mark.parametrize("seed", [0, 20260501, 2 ** 63 - 1])
+    def test_seeds_below_2_63_keep_their_stream(self, seed):
+        # below 2^63 a list key is exact, so the uint64 key reproduces it;
+        # block 1 holds the last 8 paths, one chunk
+        cfg = small_cfg(n_paths=BLOCK_SIZE + 8, n_steps=16, seed=seed)
+        z = np.empty(8 * 16, dtype=np.float32)
+        _box_muller(np.random.Philox(key=[seed, 1]), z, cfg.T / cfg.n_steps)
+        assert np.array_equal(simulate_increments(cfg, 1),
+                              z.reshape(8, 1, 16).transpose(0, 2, 1))
+
     def test_odd_count_and_partial_chunk(self):
-        cfg = small_cfg(n_paths=37, n_steps=5, block_size=37)
+        cfg = small_cfg(n_paths=37, n_steps=5)
         inc = simulate_increments(cfg, 0)
         assert inc.shape == (37, 5, 1) and inc.dtype == np.float32
         assert np.all(np.isfinite(inc))
@@ -83,26 +107,26 @@ class TestMollifiedCurrentSample:
     def test_huge_eps2_is_constant_density_limit(self):
         # p_eps2 ~ (2 pi eps2)^(-d/2) constant, so the sample is that
         # constant times B(T)
-        cfg = small_cfg(eps2=1e6, n_paths=16, block_size=16, dtype="float64")
-        inc = simulate_increments(cfg, 0)
+        cfg = small_cfg(eps2=1e6, n_paths=16)
+        inc = simulate_increments(cfg, 0).astype(np.float64)
         sample = mollified_current_sample(cfg, inc)
         endpoint = inc.sum(axis=1)
         expected = (2 * np.pi * cfg.eps2) ** -0.5 * endpoint
         assert np.allclose(sample, expected, rtol=1e-4)
 
     def test_far_x_vanishes(self):
-        cfg = small_cfg(x=(100.0,), eps2=0.01, n_paths=64, block_size=64,
-                        dtype="float64")
-        inc = simulate_increments(cfg, 0)
+        cfg = small_cfg(x=(100.0,), eps2=0.01, n_paths=64)
+        inc = simulate_increments(cfg, 0).astype(np.float64)
         sample = mollified_current_sample(cfg, inc)
         assert np.all(np.abs(sample) < 1e-30)
 
     def test_matches_direct_formula(self):
         # sum_k p_eps2(x - B(t_k)) dB(t_k), written out step by step in
-        # float64; 40 paths fill one kernel chunk and part of a second
+        # float64; 40 paths fill one kernel chunk and part of a second, and
+        # the kernel's buffers follow the dtype of the increments
         cfg = MCConfig(d=2, T=1.0, x=(0.3, -0.2), n_paths=40, n_steps=64,
-                       eps2=0.05, seed=7, dtype="float64")
-        inc = simulate_increments(cfg, 0)
+                       eps2=0.05, seed=7)
+        inc = simulate_increments(cfg, 0).astype(np.float64)
         x = np.asarray(cfg.x)
         norm = (2 * np.pi * cfg.eps2) ** (-cfg.d / 2)
         expected = np.zeros((cfg.n_paths, cfg.d))
@@ -115,15 +139,13 @@ class TestMollifiedCurrentSample:
         for layout in (inc, np.ascontiguousarray(inc)):
             assert np.allclose(mollified_current_sample(cfg, layout), expected,
                                rtol=1e-12, atol=1e-14)
-        sample32 = mollified_current_sample(replace(cfg, dtype="float32"),
-                                            inc.astype(np.float32))
+        sample32 = mollified_current_sample(cfg, inc.astype(np.float32))
         assert sample32.dtype == np.float32
         assert np.allclose(sample32, expected, rtol=1e-4,
                            atol=1e-5 * np.abs(expected).max())
 
     def test_ito_sum_is_centered(self):
-        cfg = small_cfg(n_paths=100_000, n_steps=64, block_size=10_000,
-                        x=(0.3,))
+        cfg = small_cfg(n_paths=100_000, n_steps=64, x=(0.3,))
         samples = np.concatenate([
             mollified_current_sample(cfg, simulate_increments(cfg, b))
             for b in range(cfg.n_blocks)]).astype(np.float64)
@@ -164,8 +186,7 @@ class TestMCSTransform:
                                      tol=1e-11)
         hits = 0
         for seed in range(40):
-            cfg = small_cfg(n_paths=2000, n_steps=64, seed=seed,
-                            block_size=1000)
+            cfg = small_cfg(n_paths=2000, n_steps=64, seed=seed)
             est = mc_s_transform(cfg, phi)
             hits += bool(np.all(np.abs(est.mean - closed) <= 4 * est.stderr))
         assert hits >= 38
@@ -186,16 +207,14 @@ class TestMCSTransform:
         # tested with common random numbers (coarse increments summed from
         # the fine paths) so the paired difference isolates the grid bias
         phi = TestFunction([[0.5]])
-        cfg_hi = small_cfg(n_paths=20_000, n_steps=4096, seed=21,
-                           block_size=2000, dtype="float64")
-        cfg_lo = small_cfg(n_paths=20_000, n_steps=2048, seed=21,
-                           block_size=2000, dtype="float64")
+        cfg_hi = small_cfg(n_paths=20_000, n_steps=4096, seed=21)
+        cfg_lo = small_cfg(n_paths=20_000, n_steps=2048, seed=21)
         t_hi = np.arange(cfg_hi.n_steps) * cfg_hi.T / cfg_hi.n_steps
         t_lo = np.arange(cfg_lo.n_steps) * cfg_lo.T / cfg_lo.n_steps
         g_hi, g_lo = [], []
         log_c = -0.5 * phi.l2_norm_on_interval(0.0, cfg_hi.T) ** 2
         for b in range(cfg_hi.n_blocks):
-            inc = simulate_increments(cfg_hi, b)
+            inc = simulate_increments(cfg_hi, b).astype(np.float64)
             inc_lo = inc.reshape(inc.shape[0], -1, 2, 1).sum(axis=2)
             cur_hi = mollified_current_sample(cfg_hi, inc)[:, 0]
             cur_lo = mollified_current_sample(cfg_lo, inc_lo)[:, 0]
@@ -235,18 +254,18 @@ class TestDeterminism:
 
 
 class TestSerialization:
-    def test_config_round_trip(self):
-        cfg = small_cfg()
-        assert MCConfig.from_json(cfg.to_json()) == cfg
-
     def test_estimate_json_fields(self):
+        # the body criterion 8 compares: its keys, in this order, name the
+        # block size and dtype the paths were drawn in
         cfg = small_cfg(n_paths=512)
         est = mc_s_transform(cfg, TestFunction([[0.2]]))
-        import json
-
         body = json.loads(est.to_json())
-        assert set(body) == {"mean", "stderr", "n_effective", "config"}
+        assert list(body) == ["mean", "stderr", "n_effective", "config"]
         assert body["n_effective"] == 512
+        assert list(body["config"].items()) == [
+            ("d", 1), ("T", 1.0), ("x", [0.5]), ("n_paths", 512),
+            ("n_steps", 256), ("eps2", 0.05), ("seed", 99),
+            ("block_size", 1024), ("dtype", "float32")]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -254,8 +273,13 @@ class TestSerialization:
                      eps2=0.05, seed=0)
         with pytest.raises(ValueError):
             small_cfg(eps2=0.0)
-        with pytest.raises(ValueError):
-            small_cfg(dtype="float16")
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, 7.0])
+    def test_seed_not_a_u64_rejected(self, seed):
+        # a float seed would be truncated into the key: 1.5 would draw the
+        # paths of seed 1
+        with pytest.raises(ValueError, match="seed"):
+            small_cfg(seed=seed)
 
     @pytest.mark.parametrize("kw", [
         {"x": (math.nan,)}, {"x": (math.inf,)}, {"x": (-math.inf,)},
@@ -265,20 +289,3 @@ class TestSerialization:
         # each gave a NaN mean or 0 +- 0 without an error
         with pytest.raises(ValueError, match="finite"):
             small_cfg(**kw)
-        import json
-
-        body = json.loads(small_cfg().to_json())
-        body.update(kw)
-        with pytest.raises(ValueError, match="finite"):
-            MCConfig.from_json(json.dumps(body))
-
-    @pytest.mark.parametrize("block_size", [0, -5])
-    def test_nonpositive_block_size_rejected(self, block_size):
-        with pytest.raises(ValueError, match="block_size"):
-            small_cfg(block_size=block_size)
-        import json
-
-        body = json.loads(small_cfg().to_json())
-        body["block_size"] = block_size
-        with pytest.raises(ValueError, match="block_size"):
-            MCConfig.from_json(json.dumps(body))

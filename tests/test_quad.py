@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hidacur import (IntegrandFailureError, QuadratureBudgetError,
-                     integrate_singular, upper_incomplete_gamma)
+                     integrate_singular, quad, upper_incomplete_gamma)
 
 # the three reference integrands with known exact values
 CASES = [
@@ -36,7 +36,7 @@ class TestSweeps:
               (2, 1e-6, 1, 96), (2, 1e-10, 1, 96)]
 
     @staticmethod
-    def run(case, tol, **kw):
+    def run(case, tol):
         name, f, T, p, damping, exact = CASES[case]
         calls = []
 
@@ -45,7 +45,7 @@ class TestSweeps:
             return f(t)
 
         res = integrate_singular(counted, T, sing_exponent=p, tol=tol,
-                                 damping=damping, **kw)
+                                 damping=damping)
         return res, calls
 
     @pytest.mark.parametrize("case,tol,n_calls,nodes", SWEEPS)
@@ -55,11 +55,13 @@ class TestSweeps:
         assert res.node_count == sum(calls) == nodes
 
     @pytest.mark.parametrize("case,tol,n_calls,nodes", SWEEPS)
-    def test_budget_boundary(self, case, tol, n_calls, nodes):
-        res, _ = self.run(case, tol, node_budget=nodes)
+    def test_budget_boundary(self, case, tol, n_calls, nodes, monkeypatch):
+        monkeypatch.setattr(quad, "NODE_BUDGET", nodes)
+        res, _ = self.run(case, tol)
         assert res.node_count == nodes
+        monkeypatch.setattr(quad, "NODE_BUDGET", nodes - 1)
         with pytest.raises(QuadratureBudgetError) as excinfo:
-            self.run(case, tol, node_budget=nodes - 1)
+            self.run(case, tol)
         assert excinfo.value.best_estimate is not None
 
 
@@ -102,10 +104,11 @@ class TestFailures:
                            match=r"NaN/inf on \[0\.0, 1\.0\]"):
             integrate_singular(f, 1.0, sing_exponent=0.0, tol=1e-8)
 
-    def test_budget_error_carries_best_estimate(self):
+    def test_budget_error_carries_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(quad, "NODE_BUDGET", 2000)
         with pytest.raises(QuadratureBudgetError) as excinfo:
             integrate_singular(lambda t: np.cos(1.0 / t) / np.sqrt(t), 1.0,
-                               sing_exponent=-0.5, tol=1e-14, node_budget=2000)
+                               sing_exponent=-0.5, tol=1e-14)
         assert excinfo.value.best_estimate is not None
 
     def test_no_estimate_above_tol_is_returned(self):

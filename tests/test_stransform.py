@@ -1,4 +1,4 @@
-"""Closed-form S-transforms, Wick product, integrability, growth fits."""
+"""Closed-form S-transforms, the Wick integrand, integrability, growth fits."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,22 @@ from scipy.integrate import quad
 
 from hidacur import (CurrentParams, IntegrandFailureError, MCConfig,
                      NonexistenceError, TestFunction, UFunctional,
-                     check_integrability, constant_ufunctional,
-                     default_cutoffs, divergence_scan, donsker_ufunctional,
-                     fit_ufunctional_bound, mc_s_transform, s_current,
-                     s_current_mollified, s_donsker, s_white_noise,
-                     upper_incomplete_gamma, wick_integrand_ufunctional,
-                     wick_product)
+                     check_integrability, default_cutoffs, divergence_scan,
+                     donsker_ufunctional, fit_ufunctional_bound,
+                     mc_s_transform, s_current, s_current_mollified,
+                     s_donsker, upper_incomplete_gamma,
+                     wick_integrand_ufunctional)
 from hidacur import schwartz, stransform
 from hidacur.stransform import _current_kernel, current_ufunctional
 
 from conftest import random_phi
 
 PI14 = np.pi ** (-0.25)
+
+
+def constant(c):
+    """The U-functional of the constant c."""
+    return UFunctional(lambda z, phi: np.full(z.shape, c))
 
 
 class TestCurrentParams:
@@ -76,30 +80,27 @@ class TestRecordsCompare:
             CurrentParams([0.5, -0.2], 1.0), TestFunction([[1.0], [0.3]]),
             full_output=True)[1][0],
         "MCEstimate": _mc_estimate_d2,
+        "TestFunction": lambda: TestFunction([[1.0, 2.0], [0.5]]),
     }
 
     @pytest.mark.parametrize("name", sorted(MAKERS))
     def test_equal_valued_records_compare_and_hash(self, name):
         a, b = self.MAKERS[name](), self.MAKERS[name]()
         assert type(a).__name__ == name
-        assert a == a and isinstance(a == b, bool)
+        assert a == a and (a == b) is False
         assert a in {a, b} and b in {a, b}
 
 
 class TestWhiteNoise:
+    """S W_i(t)(phi) = phi_i(t): the white noise needs no function of its own,
+    its S-transform is TestFunction.eval."""
+
     def test_zero_phi(self):
-        assert s_white_noise(TestFunction.zero(1, 3), 0.7, 0) == 0.0
+        assert TestFunction.zero(1, 3).eval(0.7, 0) == 0.0
 
     def test_ground_state_origin(self):
         phi = TestFunction.basis_element(1, 0, 0)
-        assert s_white_noise(phi, 0.0, 0) == pytest.approx(PI14, rel=1e-14)
-
-    def test_equals_eval(self, rng):
-        phi = random_phi(rng, 3, 6)
-        for _ in range(100):
-            t = float(rng.uniform(-3, 3))
-            i = int(rng.integers(0, 3))
-            assert s_white_noise(phi, t, i) == phi.eval(t, i)
+        assert phi.eval(0.0, 0) == pytest.approx(PI14, rel=1e-14)
 
 
 class TestDonsker:
@@ -277,23 +278,9 @@ class TestMollified:
 
 
 class TestWickProduct:
-    def test_unit(self, rng):
-        phi = random_phi(rng, 1, 4)
-        F = donsker_ufunctional([0.5], 0.7)
-        FG = wick_product(F, constant_ufunctional(1.0))
-        for z in (0.3, 1.0, 0.2 + 0.4j):
-            assert FG(z, phi) == F(z, phi)
-
-    def test_commutativity(self, rng):
-        phi = random_phi(rng, 1, 4)
-        F = donsker_ufunctional([0.5], 0.7)
-        G = constant_ufunctional(2.5)
-        for z in (0.3, 1.0 - 0.6j):
-            assert wick_product(F, G)(z, phi) == wick_product(G, F)(z, phi)
-
     def test_integrand_factorization(self, rng):
         # S(delta(x - B(t)) wick W_i(t))(phi)
-        #   = s_donsker(x, t, phi, 1) * s_white_noise(phi, t, i)
+        #   = s_donsker(x, t, phi, 1) * phi_i(t), phi_i(t) being S W_i(t)(phi)
         for _ in range(20):
             d = int(rng.integers(1, 4))
             x = rng.uniform(-1.5, 1.5, size=d)
@@ -301,7 +288,7 @@ class TestWickProduct:
             i = int(rng.integers(0, d))
             phi = random_phi(rng, d, 5)
             lhs = wick_integrand_ufunctional(x, t, i)(1.0, phi)
-            rhs = s_donsker(x, t, phi, 1.0) * s_white_noise(phi, t, i)
+            rhs = s_donsker(x, t, phi, 1.0) * phi.eval(t, i)
             assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
@@ -362,14 +349,6 @@ class TestBatchedZ:
         assert type(out) is float and out == 2.0
         assert seen == [(1,)]
 
-    def test_constant_and_product_broadcast(self, rng):
-        phi = random_phi(rng, 1, 4)
-        F = donsker_ufunctional([0.5], 0.7)
-        G = constant_ufunctional(2.5)
-        assert np.array_equal(G(self.ZS, phi), np.full(self.ZS.shape, 2.5))
-        FG = wick_product(F, G)(self.ZS, phi)
-        assert np.array_equal(FG, F(self.ZS, phi) * 2.5)
-
 
 class TestCheckIntegrability:
     def test_d1_origin_is_two_sqrt_T(self):
@@ -391,7 +370,7 @@ class TestCheckIntegrability:
 class TestFitUFunctionalBound:
     def test_constant_functional(self, rng):
         phi = random_phi(rng, 1, 4)
-        fit = fit_ufunctional_bound(constant_ufunctional(3.0), phi,
+        fit = fit_ufunctional_bound(constant(3.0), phi,
                                     np.geomspace(1.0, 8.0, 6))
         assert fit.C1 == pytest.approx(3.0, rel=1e-10)
         assert fit.C2 <= 1e-12  # zero up to least-squares rounding
@@ -440,7 +419,7 @@ class TestFitUFunctionalBound:
         phi = random_phi(rng, 1, 3)
         for radii in ([], [0.0], [1.0, -2.0], [np.inf], [2.0, 4.0, np.inf]):
             with pytest.raises(ValueError):
-                fit_ufunctional_bound(constant_ufunctional(1.0), phi, radii)
+                fit_ufunctional_bound(constant(1.0), phi, radii)
 
 
 class TestProofChainBound:
