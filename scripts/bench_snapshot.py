@@ -8,6 +8,9 @@ holds:
 
   * "machine": CPU count, platform, Python, numpy and scipy versions;
   * "src_lines": the line count of src/hidacur/*.py, as wc -l totals it;
+  * "quad_nodes": the nodes of one s_current call at x = (r, 0, ...),
+    phi = [[1.0, 0.3]] * d, T = 1 and tol 1e-8, for d in {2, 3} and r from
+    1e-1 down to 1e-12, where the current blows up at the origin;
   * "perfbench": the last JSON line of perfbench/run.py --seed 1 for each
     workload, run for BENCHMARK.json's run_seconds;
   * "acceptance": per criterion 1-8, the wall time of its config at
@@ -33,6 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+from hidacur import CurrentParams, TestFunction, s_current  # noqa: E402
 from hidacur.experiments import run_experiment  # noqa: E402
 
 WORKLOADS = ("closed-form", "chaos-growth", "mc-grid")
@@ -58,6 +62,17 @@ def machine_record():
 def src_lines():
     return sum(p.read_bytes().count(b"\n")
                for p in (ROOT / "src" / "hidacur").glob("*.py"))
+
+
+def quad_nodes():
+    rows = []
+    for d in (2, 3):
+        phi = TestFunction([[1.0, 0.3]] * d)
+        for r in (1e-1, 1e-4, 1e-8, 1e-10, 1e-12):
+            p = CurrentParams([r] + [0.0] * (d - 1), 1.0)
+            _, (res,) = s_current(p, phi, tol=1e-8, full_output=True)
+            rows.append({"d": d, "r": r, "nodes": res.node_count})
+    return {"T": 1.0, "tol": 1e-8, "rows": rows}
 
 
 def perfbench(workload):
@@ -113,6 +128,7 @@ def main(argv=None):
     snapshot = {
         "machine": machine_record(),
         "src_lines": src_lines(),
+        "quad_nodes": quad_nodes(),
         "perfbench": {w: perfbench(w) for w in WORKLOADS},
         "acceptance": acceptance(),
     }

@@ -123,8 +123,7 @@ def run_gamma_check(knobs):
                 closed = singular_mass_closed(d, r, T)
                 res = integrate_singular(
                     lambda t: t ** (-d / 2.0) * np.exp(-r * r / (2.0 * t)),
-                    T, sing_exponent=-d / 2.0, tol=1e-12 * max(closed, 1.0),
-                    damping=r * r / 2.0)
+                    T, sing_exponent=-d / 2.0, tol=1e-12, damping=r * r / 2.0)
                 rel = abs(closed - res.value) / abs(closed)
                 rows.append({"d": d, "r": r, "T": T, "closed": closed,
                              "quadrature": res.value, "rel_error": rel})

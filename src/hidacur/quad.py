@@ -11,9 +11,10 @@ truncate and no stopping rule to guess:
     2nd ed., 1984, section 2.12), and smooth when f is t^p times a smooth
     function, as every undamped kernel in this package is.
 
-The initial mesh is (0, min(U, 1)] plus panels that double up to U, the
-upper limit in the integration variable, so Gauss nodes land where a
-Hermite test function varies for any T.  Each panel gets an embedded
+The initial mesh is (0, min(U, 1, c)] plus panels that double up to U, the
+upper limit in the integration variable, with c = 1 when f is undamped, so
+Gauss nodes land near the peak of exp(-c/t) t^p however small c is, and
+where a Hermite test function varies for any T.  Each panel gets an embedded
 Gauss-Legendre pair (16 vs 32 nodes).  It is accepted when the pair agrees
 to max(tol (b - a) / U, tol / 8000), or when floating point cannot split it;
 otherwise it is bisected.  The panels are refined breadth first: one
@@ -70,8 +71,8 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None):
         unless a damping constant is given).  Without damping, p < 0 selects
         the substitution t = s^(1/(p+1)), which makes the integrand bounded.
     tol : requested absolute error, per row for a (k, n) integrand.
-    damping : optional c > 0 when f carries a factor exp(-c/t).  Only its
-        sign is used: it says that f is flat at 0, for any exponent.
+    damping : optional c > 0 when f carries a factor exp(-c/t): f is flat at
+        0, for any exponent, and the mesh starts at min(T, 1, c), near its peak.
 
     Raises QuadratureBudgetError (with .best_estimate) when NODE_BUDGET runs
     out or the summed error estimate misses tol, IntegrandFailureError on a
@@ -99,7 +100,7 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None):
         def g(s):
             return m * s ** (m - 1.0) * np.asarray(f(s ** m))
 
-    edges = [0.0, min(U, 1.0)]
+    edges = [0.0, min(U, 1.0, damping if damped else 1.0)]
     while edges[-1] < U:
         edges.append(min(2.0 * edges[-1], U))
     a, b = np.array(edges[:-1]), np.array(edges[1:])

@@ -195,6 +195,17 @@ class TestRecords:
         rec = json.loads((tmp_path / "stransform.json").read_text())
         assert rec["value"] == [0.0, 0.0]
 
+    def test_stransform_near_origin_loose_tol(self, tmp_path):
+        # S xi(x) is 1.19545e5 per component here; a quadrature that misses
+        # the kernel's peak near t = r^2 / 3 meets tol 3 on the tail alone
+        cfg = write_config(tmp_path, "c.json", {
+            "x": [1e-6, 0.0, 0.0], "T": 1.0, "tol": 3.0,
+            "phi": phi_ref([[1.0, 0.3]] * 3)})
+        assert main(["stransform", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        rec = json.loads((tmp_path / "stransform.json").read_text())
+        assert all(abs(v - 1.19545e5) <= 3.0 for v in rec["value"])
+
     def test_mc_record_matches_closed_form(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "n_paths": 4000, "n_steps": 256, "stderr_fraction": None,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma
 
 from hidacur import (CurrentParams, IntegrandFailureError, MCConfig,
                      NonexistenceError, TestFunction, UFunctional,
@@ -223,12 +224,33 @@ class TestSCurrent:
 
     def test_near_origin_d2_meets_tol(self):
         # the damping constant |x|^2/2 = 5e-21 puts the kernel's mass down
-        # to t ~ 1e-20, where bisection toward 0 still has to reach
+        # to t ~ 1e-20, where the damped mesh starts
         phi = TestFunction([np.array([1.0, 0.3]), np.array([1.0, 0.3])])
         p = CurrentParams([1e-10, 0.0], 1.0)
         vals, (res,) = s_current(p, phi, tol=1e-10, full_output=True)
         assert np.all(np.isfinite(vals))
         assert np.all(res.abs_error_estimate <= 1e-10)
+
+    def test_near_origin_d3_loose_tol_sees_the_peak(self):
+        # the kernel peaks near t = r^2 / 3; on a panel whose nodes all lie
+        # past the peak, both Gauss sums see only the undamped tail and agree
+        # to 2.37 < tol on 4.66, so the mesh has to start at the peak
+        vals, (res,) = s_current(CurrentParams([1e-6, 0.0, 0.0], 1.0),
+                                 TestFunction([[1.0, 0.3]] * 3), tol=3.0,
+                                 full_output=True)
+        assert np.all(np.abs(vals - origin_leading_term(3, 1e-6)) <= 3.0)
+        assert np.all(res.abs_error_estimate <= 3.0)
+
+    def test_near_origin_d3_meets_relative_tol(self):
+        # tol = 1e-10 |S| is 12 at r = 1e-12; the O(1) correction to the
+        # leading term is far below it
+        lead = origin_leading_term(3, 1e-12)
+        tol = 1e-10 * lead
+        vals, (res,) = s_current(CurrentParams([1e-12, 0.0, 0.0], 1.0),
+                                 TestFunction([[1.0, 0.3]] * 3), tol=tol,
+                                 full_output=True)
+        assert np.all(np.abs(vals - lead) <= tol)
+        assert np.all(res.abs_error_estimate <= tol)
 
     @pytest.mark.parametrize("r", [1e-200, 1e-160])
     def test_underflowing_x_raises_before_quadrature(self, monkeypatch, r):
@@ -241,6 +263,49 @@ class TestSCurrent:
         phi = TestFunction([np.array([1.0, 0.3]), np.array([0.5])])
         with pytest.raises(IntegrandFailureError):
             s_current(CurrentParams([r, 0.0], 1.0), phi)
+
+
+def origin_leading_term(d, r):
+    """Leading term of S xi_0(x) at T = 1 as |x| = r -> 0 for phi_0 = h_0 +
+    0.3 h_1, phi_0(0) = pi^(-1/4): (2 pi)^(-d/2) Gamma(d/2 - 1)
+    (r^2/2)^(1 - d/2) times phi_0(0) for d >= 3, and phi_0(0)
+    (log(2/r^2) - gamma) / 2 pi for d = 2."""
+    if d == 2:
+        return PI14 * (np.log(2.0 / r ** 2) - np.euler_gamma) / (2 * np.pi)
+    return PI14 * (2 * np.pi) ** (-d / 2) * gamma(d / 2 - 1) \
+        * (r * r / 2) ** (1 - d / 2)
+
+
+class TestApproachToOrigin:
+    # S xi(x) along x = (r, 0, ...), phi = [[1.0, 0.3]] * d, T = 1, at
+    # tol = 1e-10 |leading term|: the blow-up of the paper's negative result
+    RS = 10.0 ** -np.arange(1, 13)
+
+    @staticmethod
+    def run(d, r):
+        x = [r] + [0.0] * (d - 1)
+        vals, (res,) = s_current(
+            CurrentParams(x, 1.0), TestFunction([[1.0, 0.3]] * d),
+            tol=1e-10 * abs(origin_leading_term(d, r)), full_output=True)
+        return vals[0], res.node_count
+
+    def test_d3_power_law(self):
+        for r in self.RS[2:]:
+            value, _ = self.run(3, r)
+            assert abs(value / origin_leading_term(3, r) - 1.0) <= 1e-3, r
+
+    def test_d2_log_law(self):
+        # two decades closer, from 100 r to r, log(2/r^2) grows by ln(10^4)
+        step = PI14 * np.log(1e4) / (2 * np.pi)
+        for r in self.RS[5:]:
+            change = self.run(2, r)[0] - self.run(2, 100 * r)[0]
+            assert abs(change / step - 1.0) <= 2e-4, r
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_node_count_stays_flat(self, d):
+        # the damped mesh starts at r^2 / 2, so each decade closer adds a
+        # few doubling panels, not a deeper bisection toward t = 0
+        assert max(self.run(d, r)[1] for r in self.RS) <= 4300
 
 
 class TestMollified:
