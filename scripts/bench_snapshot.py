@@ -11,6 +11,10 @@ holds:
   * "quad_nodes": the nodes of one s_current call at x = (r, 0, ...),
     phi = [[1.0, 0.3]] * d, T = 1 and tol 1e-8, for d in {2, 3} and r from
     1e-1 down to 1e-12, where the current blows up at the origin;
+  * "mc_block": for criterion 5's first d = 1 and first d = 2 case, one
+    1,024-path block at 4,096 steps: the normals drawn and the best-of-5 ms
+    of simulate_increments, mollified_current_sample and the whole
+    _block_moments, at one thread;
   * "perfbench": the last JSON line of perfbench/run.py --seed 1 for each
     workload, run for BENCHMARK.json's run_seconds;
   * "acceptance": per criterion 1-8, the wall time of its config at
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -37,7 +42,9 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from hidacur import CurrentParams, TestFunction, s_current  # noqa: E402
-from hidacur.experiments import run_experiment  # noqa: E402
+from hidacur import montecarlo  # noqa: E402
+from hidacur.experiments import (MC_ACCEPTANCE_CASES,  # noqa: E402
+                                 mc_acceptance_phi, run_experiment)
 
 WORKLOADS = ("closed-form", "chaos-growth", "mc-grid")
 SEED = 1
@@ -73,6 +80,38 @@ def quad_nodes():
             _, (res,) = s_current(p, phi, tol=1e-8, full_output=True)
             rows.append({"d": d, "r": r, "nodes": res.node_count})
     return {"T": 1.0, "tol": 1e-8, "rows": rows}
+
+
+def best_ms(fn, repeats=5):
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return round(best * 1e3, 3)
+
+
+def mc_block():
+    rows = []
+    for d in (1, 2):
+        case = next(c for c in MC_ACCEPTANCE_CASES if c["d"] == d)
+        cfg = montecarlo.MCConfig(
+            d=d, T=1.0, x=tuple(case["x"]), n_paths=montecarlo.BLOCK_SIZE,
+            n_steps=4096, eps2=case["eps2"], seed=case["seed"])
+        phi = mc_acceptance_phi(d, case["eps2"])
+        phi_grid = phi.eval_all(np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
+        log_c = -0.5 * phi.l2_norm_on_interval(0.0, cfg.T) ** 2
+        inc = montecarlo.simulate_increments(cfg, 0)
+        rows.append({
+            "d": d, "eps2": case["eps2"], "paths": cfg.n_paths,
+            "n_steps": cfg.n_steps, "normals": inc.size,
+            "rng_ms": best_ms(lambda: montecarlo.simulate_increments(cfg, 0)),
+            "kernel_ms": best_ms(
+                lambda: montecarlo.mollified_current_sample(cfg, inc)),
+            "block_ms": best_ms(
+                lambda: montecarlo._block_moments(cfg, phi_grid, log_c, 0)),
+        })
+    return rows
 
 
 def perfbench(workload):
@@ -125,11 +164,15 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
+    # perfbench first: a child's peak RSS starts at this process's, which
+    # the Monte Carlo blocks raise by ~40 MB
+    bench = {w: perfbench(w) for w in WORKLOADS}
     snapshot = {
         "machine": machine_record(),
         "src_lines": src_lines(),
         "quad_nodes": quad_nodes(),
-        "perfbench": {w: perfbench(w) for w in WORKLOADS},
+        "mc_block": mc_block(),
+        "perfbench": bench,
         "acceptance": acceptance(),
     }
     with open(args.out, "w") as fh:

@@ -6,11 +6,12 @@ generator keyed on (seed, block), with any seed in [0, 2^64), so every
 result is bit-identical no matter how many worker threads run the blocks.
 The normals come from a vectorised Box-Muller transform of the raw Philox
 bits (see ``simulate_increments``).  A block (``BLOCK_SIZE`` paths) is the
-unit of keying and of thread work; inside it, the sampler and the current
-kernel run over chunks of ``CHUNK_PATHS`` paths, whose arrays stay in the
-core's L2 cache while the passes over them run.  Paths are drawn and summed
-in ``DTYPE`` (float32); the moments are reduced in float64.  The mollified
-current is realized as a left-endpoint (Ito) Riemann sum
+unit of keying and of thread work.  Each drawn path w is evaluated with its
+mirror -w, also Brownian, so a block of n paths draws ceil(n/2) paths.  The
+sampler and kernel run over chunks of ``CHUNK_PATHS`` drawn paths, whose
+arrays stay in the core's L2 cache while the passes over them run.  Paths
+are drawn and summed in ``DTYPE`` (float32); the moments are reduced in
+float64.  The mollified current is realized as a left-endpoint (Ito) sum
 
     sum_k p_eps2(x - B(t_k)) dB(t_k),
 
@@ -96,9 +97,11 @@ class MCEstimate:
 
 
 def simulate_increments(cfg, block):
-    """Increments dB for one path block, shape (paths, n_steps, d).
+    """Drawn increments dB for one path block, shape (ceil(n/2), n_steps, d).
 
     i.i.d. N(0, T/M) per step per component; deterministic in (seed, block).
+    The block's n = ``cfg.block_paths(block)`` paths are antithetic pairs:
+    one path of each pair is drawn, and its mirror is -dB.
 
     The block's stream is Philox keyed on the uint64 pair (seed, block)
     (keyed, not advanced, so a block never depends on scheduling), read in
@@ -116,7 +119,7 @@ def simulate_increments(cfg, block):
     """
     if not 0 <= block < cfg.n_blocks:
         raise IndexError(f"block {block} out of range")
-    n, m, d = cfg.block_paths(block), cfg.n_steps, cfg.d
+    n, m, d = (cfg.block_paths(block) + 1) // 2, cfg.n_steps, cfg.d
     # a uint64 array: a Python list would pass through float64 and lose the
     # low bits of a seed >= 2^63
     bitgen = np.random.Philox(key=np.array([cfg.seed, block], dtype=np.uint64))
@@ -148,51 +151,56 @@ def _box_muller(bitgen, z, var):
 
 
 def mollified_current_sample(cfg, increments):
-    """Ito sum of the mollified current for each path, shape (paths, d).
+    """Ito sums of the mollified current, shape (2, paths, d): row 0 is
+    sum_k p_eps2(x - B(t_k)) dB(t_k), row 1 the mirror path's -sum_k
+    p_eps2(x + B(t_k)) dB(t_k).
 
     increments has shape (paths, n_steps, d); B(t_k) is the left endpoint
     (B(t_0) = 0), and p_eps2 is the d-dimensional Gaussian density of
-    variance eps2.  Paths are taken ``CHUNK_PATHS`` at a time and all
-    arithmetic runs in place on two chunk-sized buffers.
+    variance eps2.  Paths are taken ``CHUNK_PATHS`` at a time, one prefix
+    sum per component serves both rows, and all arithmetic runs in place.
     """
     inc = np.asarray(increments)
     n, m, d = inc.shape
     log_norm = -0.5 * d * math.log(2.0 * math.pi * cfg.eps2)
-    out = np.empty((n, d), dtype=inc.dtype)
-    b = np.empty((min(n, CHUNK_PATHS), m), dtype=inc.dtype)  # B_j(t_k) - x_j
-    q = np.empty_like(b)                      # |B(t_k) - x|^2, then density
+    out = np.empty((2, n, d), dtype=inc.dtype)
+    b = np.empty((min(n, CHUNK_PATHS), m), dtype=inc.dtype)  # B_j(t_k)
+    s = np.empty_like(b)                                     # scratch
+    q = np.empty((2,) + b.shape, dtype=inc.dtype)  # |B -+ x|^2, then density
     for lo in range(0, n, CHUNK_PATHS):
         chunk = inc[lo:lo + CHUNK_PATHS]
-        bk, qk = b[:len(chunk)], q[:len(chunk)]
+        bk, sk, qk = b[:len(chunk)], s[:len(chunk)], q[:, :len(chunk)]
         for j in range(d):
             bk[:, 0] = 0.0
             np.cumsum(chunk[:, :-1, j], axis=1, out=bk[:, 1:])
-            bk -= cfg.x[j]
-            if j == 0:
-                np.square(bk, out=qk)
-            else:
-                np.square(bk, out=bk)
-                qk += bk
+            for qr, sign in zip(qk, (-1.0, 1.0)):
+                term = qr if j == 0 else sk
+                np.square(np.add(bk, sign * cfg.x[j], out=term), out=term)
+                if j:
+                    qr += term
         qk *= -0.5 / cfg.eps2
         qk += log_norm
         dens = np.exp(qk, out=qk)
-        for j in range(d):
-            out[lo:lo + len(chunk), j] = np.einsum("pm,pm->p", dens,
-                                                   chunk[:, :, j])
+        for r, j in np.ndindex(2, d):
+            out[r, lo:lo + len(chunk), j] = np.einsum("pm,pm->p", dens[r],
+                                                      chunk[:, :, j])
+    out[1] *= -1.0
     return out
 
 
 def _block_moments(cfg, phi_grid, log_c, block):
-    """Sums of g, g^2, f, f^2 and g f over one block's paths, as (5, d)."""
+    """Sums of g, g^2, f, f^2 and g f over one block's pair means, as (5, d)."""
     inc = simulate_increments(cfg, block)
-    current = mollified_current_sample(cfg, inc)          # (paths, d)
-    # the Wiener integral sum_i int phi_i dB_i as a left-endpoint sum
-    weight = np.exp(np.einsum("dm,pmd->p", phi_grid.astype(inc.dtype), inc) + log_c)
+    current = mollified_current_sample(cfg, inc)          # (2, pairs, d)
+    # the Wiener integral sum_i int phi_i dB_i as a left-endpoint sum; -s for -w
+    s = np.einsum("dm,pmd->p", phi_grid.astype(inc.dtype), inc).astype(np.float64)
+    weight = np.exp(np.stack([s, -s]) + log_c)            # (2, pairs)
     # moments in float64 regardless of the path dtype; the control
     # f = unweighted current is exactly centered (each Ito term pairs an
-    # adapted value with an independent increment)
-    f = current.astype(np.float64)
-    g = f * weight.astype(np.float64)[:, None]
+    # adapted value with an independent increment, for -w as for w)
+    both = current.astype(np.float64)
+    f = 0.5 * both.sum(axis=0)
+    g = 0.5 * (both * weight[:, :, None]).sum(axis=0)
     return np.stack([g.sum(axis=0), (g * g).sum(axis=0), f.sum(axis=0),
                      (f * f).sum(axis=0), (g * f).sum(axis=0)])
 
@@ -218,8 +226,10 @@ def mc_s_transform(cfg, phi, n_threads=None):
     """Empirical S-transform of the mollified current at phi.
 
     Estimates E[current * exp(<w, phi> - |phi|^2/2)] componentwise over
-    cfg.n_paths paths.  Blocks are independent work units; aggregation is a
-    fixed-order pairwise fold, so the estimate is bit-identical for any
+    cfg.n_paths paths in antithetic pairs (w, -w); the stderr is over the
+    ceil(n/2) pair means of each block of n, so an odd n_paths evaluates one
+    extra mirrored path.  Blocks are independent work units; aggregation is
+    a fixed-order pairwise fold, so the estimate is bit-identical for any
     thread count.
 
     The unweighted current, whose mean is exactly zero (Ito sum of an
@@ -247,7 +257,7 @@ def mc_s_transform(cfg, phi, n_threads=None):
 
     # one fold over the stacked moments: the same additions, element by element
     sg, sgg, sf, sff, sgf = _pairwise_sum(results)
-    n_total = cfg.n_paths
+    n_total = sum((cfg.block_paths(b) + 1) // 2 for b in range(cfg.n_blocks))
 
     mean_g = sg / n_total
     var_g = np.maximum(sgg / n_total - mean_g ** 2, 0.0)

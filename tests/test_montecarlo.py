@@ -10,6 +10,7 @@ from scipy import stats
 from hidacur import (CurrentParams, MCConfig, TestFunction, mc_s_transform,
                      mollified_current_sample, s_current_mollified,
                      simulate_increments)
+from hidacur import montecarlo
 from hidacur.montecarlo import BLOCK_SIZE, _box_muller, default_threads
 
 
@@ -21,20 +22,20 @@ def small_cfg(**kw):
 
 
 def all_increments(cfg):
-    """Every block's increments, concatenated along the path axis."""
+    """Every block's drawn increments, concatenated along the path axis."""
     return np.concatenate([simulate_increments(cfg, b)
                            for b in range(cfg.n_blocks)])
 
 
 class TestIncrements:
     def test_mean_centered(self):
-        cfg = small_cfg(n_paths=100_000, n_steps=2)
+        cfg = small_cfg(n_paths=200_000, n_steps=2)
         flat = all_increments(cfg).ravel().astype(np.float64)
         stderr = flat.std() / np.sqrt(flat.size)
         assert abs(flat.mean()) <= 4 * stderr
 
     def test_variance_matches_dt(self):
-        cfg = small_cfg(n_paths=2000, n_steps=128)
+        cfg = small_cfg(n_paths=4000, n_steps=128)
         inc = all_increments(cfg).astype(np.float64)
         dt = cfg.T / cfg.n_steps
         assert inc.var() == pytest.approx(dt, rel=0.01)
@@ -56,9 +57,10 @@ class TestIncrements:
             simulate_increments(cfg, cfg.n_blocks)
 
     def test_law_of_one_block(self):
-        # 2^20 draws of one block against N(0, T/M): Kolmogorov-Smirnov and
-        # the fourth moment E z^4 = 3 (Var z^4 = 105 - 9 = 96)
-        cfg = small_cfg(n_paths=1024, n_steps=1024)
+        # 2^20 draws of one block (512 drawn paths) against N(0, T/M):
+        # Kolmogorov-Smirnov and the fourth moment E z^4 = 3
+        # (Var z^4 = 105 - 9 = 96)
+        cfg = small_cfg(n_paths=1024, n_steps=2048)
         z = simulate_increments(cfg, 0).ravel().astype(np.float64)
         z /= math.sqrt(cfg.T / cfg.n_steps)
         assert stats.kstest(z, "norm").pvalue > 1e-3
@@ -88,17 +90,18 @@ class TestIncrements:
     @pytest.mark.parametrize("seed", [0, 20260501, 2 ** 63 - 1])
     def test_seeds_below_2_63_keep_their_stream(self, seed):
         # below 2^63 a list key is exact, so the uint64 key reproduces it;
-        # block 1 holds the last 8 paths, one chunk
+        # block 1 holds the last 8 paths, 4 drawn paths in one chunk
         cfg = small_cfg(n_paths=BLOCK_SIZE + 8, n_steps=16, seed=seed)
-        z = np.empty(8 * 16, dtype=np.float32)
+        z = np.empty(4 * 16, dtype=np.float32)
         _box_muller(np.random.Philox(key=[seed, 1]), z, cfg.T / cfg.n_steps)
         assert np.array_equal(simulate_increments(cfg, 1),
-                              z.reshape(8, 1, 16).transpose(0, 2, 1))
+                              z.reshape(4, 1, 16).transpose(0, 2, 1))
 
     def test_odd_count_and_partial_chunk(self):
+        # 37 paths are 19 antithetic pairs: 19 drawn paths
         cfg = small_cfg(n_paths=37, n_steps=5)
         inc = simulate_increments(cfg, 0)
-        assert inc.shape == (37, 5, 1) and inc.dtype == np.float32
+        assert inc.shape == (19, 5, 1) and inc.dtype == np.float32
         assert np.all(np.isfinite(inc))
         assert np.array_equal(inc, simulate_increments(cfg, 0))
 
@@ -109,7 +112,7 @@ class TestMollifiedCurrentSample:
         # constant times B(T)
         cfg = small_cfg(eps2=1e6, n_paths=16)
         inc = simulate_increments(cfg, 0).astype(np.float64)
-        sample = mollified_current_sample(cfg, inc)
+        sample = mollified_current_sample(cfg, inc)[0]
         endpoint = inc.sum(axis=1)
         expected = (2 * np.pi * cfg.eps2) ** -0.5 * endpoint
         assert np.allclose(sample, expected, rtol=1e-4)
@@ -122,32 +125,38 @@ class TestMollifiedCurrentSample:
 
     def test_matches_direct_formula(self):
         # sum_k p_eps2(x - B(t_k)) dB(t_k), written out step by step in
-        # float64; 40 paths fill one kernel chunk and part of a second, and
+        # float64, for each drawn path (row 0) and its mirror -dB (row 1);
+        # 40 drawn paths fill one kernel chunk and part of a second, and
         # the kernel's buffers follow the dtype of the increments
-        cfg = MCConfig(d=2, T=1.0, x=(0.3, -0.2), n_paths=40, n_steps=64,
+        cfg = MCConfig(d=2, T=1.0, x=(0.3, -0.2), n_paths=80, n_steps=64,
                        eps2=0.05, seed=7)
         inc = simulate_increments(cfg, 0).astype(np.float64)
+        assert len(inc) == 40
         x = np.asarray(cfg.x)
         norm = (2 * np.pi * cfg.eps2) ** (-cfg.d / 2)
-        expected = np.zeros((cfg.n_paths, cfg.d))
-        for p in range(cfg.n_paths):
-            b = np.zeros(cfg.d)
-            for k in range(cfg.n_steps):
-                dens = norm * np.exp(-np.sum((x - b) ** 2) / (2 * cfg.eps2))
-                expected[p] += dens * inc[p, k]
-                b = b + inc[p, k]
+        expected = np.zeros((2, len(inc), cfg.d))
+        for row, steps in enumerate((inc, -inc)):
+            for p in range(len(inc)):
+                b = np.zeros(cfg.d)
+                for k in range(cfg.n_steps):
+                    dens = norm * np.exp(-np.sum((x - b) ** 2) / (2 * cfg.eps2))
+                    expected[row, p] += dens * steps[p, k]
+                    b = b + steps[p, k]
         for layout in (inc, np.ascontiguousarray(inc)):
             assert np.allclose(mollified_current_sample(cfg, layout), expected,
                                rtol=1e-12, atol=1e-14)
         sample32 = mollified_current_sample(cfg, inc.astype(np.float32))
         assert sample32.dtype == np.float32
-        assert np.allclose(sample32, expected, rtol=1e-4,
-                           atol=1e-5 * np.abs(expected).max())
+        assert sample32.shape == (2, 40, 2)
+        for row in range(2):
+            assert np.allclose(sample32[row], expected[row], rtol=1e-4,
+                               atol=1e-5 * np.abs(expected[row]).max())
 
     def test_ito_sum_is_centered(self):
-        cfg = small_cfg(n_paths=100_000, n_steps=64, x=(0.3,))
+        # 100,000 drawn paths, row 0 of each
+        cfg = small_cfg(n_paths=200_000, n_steps=64, x=(0.3,))
         samples = np.concatenate([
-            mollified_current_sample(cfg, simulate_increments(cfg, b))
+            mollified_current_sample(cfg, simulate_increments(cfg, b))[0]
             for b in range(cfg.n_blocks)]).astype(np.float64)
         stderr = samples.std() / np.sqrt(len(samples))
         assert abs(samples.mean()) <= 4 * stderr
@@ -191,6 +200,61 @@ class TestMCSTransform:
             hits += bool(np.all(np.abs(est.mean - closed) <= 4 * est.stderr))
         assert hits >= 38
 
+    @pytest.mark.parametrize("n_paths", [37, BLOCK_SIZE + 1])
+    def test_odd_path_count_evaluates_ceil_half_pairs(self, n_paths):
+        # an odd count evaluates one extra mirrored path: the moments and
+        # the stderr are over ceil(n/2) pair means
+        phi = TestFunction([[0.5, -0.2]])
+        cfg = small_cfg(n_paths=n_paths, n_steps=32)
+        pairs = math.ceil(n_paths / 2)
+        assert sum(len(simulate_increments(cfg, b))
+                   for b in range(cfg.n_blocks)) == pairs
+        bodies = {mc_s_transform(cfg, phi, n_threads=k).to_json()
+                  for k in (1, 2, 8)}
+        assert len(bodies) == 1
+        body = json.loads(bodies.pop())
+        assert np.all(np.isfinite(body["mean"] + body["stderr"]))
+        assert body["n_effective"] == n_paths
+        t_left = np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps)
+        log_c = -0.5 * phi.l2_norm_on_interval(0.0, cfg.T) ** 2
+        sg, sgg, sf, sff, sgf = sum(
+            montecarlo._block_moments(cfg, phi.eval_all(t_left), log_c, b)
+            for b in range(cfg.n_blocks))
+        mean_g, mean_f = sg / pairs, sf / pairs
+        var_f = sff / pairs - mean_f ** 2
+        cov = sgf / pairs - mean_g * mean_f
+        beta = cov / var_f
+        var = (sgg / pairs - mean_g ** 2 - beta * cov) * pairs / (pairs - 1)
+        assert body["mean"] == pytest.approx(mean_g - beta * mean_f, rel=1e-9)
+        assert body["stderr"] == pytest.approx(np.sqrt(var / pairs), rel=1e-9)
+
+    def test_one_draw_and_one_kernel_call_per_block(self, monkeypatch):
+        # perfbench's tracer splits block time into rng and kernel by
+        # wrapping these module globals; each must run once per block and
+        # draw one path per pair
+        cfg = MCConfig(d=2, T=1.0, x=(0.5, 0.0), n_paths=2 * BLOCK_SIZE + 37,
+                       n_steps=8, eps2=0.05, seed=3)
+        calls = {"rng": [], "kernel": [], "block": []}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                calls[name].append(out)
+                return out
+            return wrapper
+
+        for name, attr in [("rng", "simulate_increments"),
+                           ("kernel", "mollified_current_sample"),
+                           ("block", "_block_moments")]:
+            monkeypatch.setattr(montecarlo, attr,
+                                counting(name, getattr(montecarlo, attr)))
+        mc_s_transform(cfg, TestFunction([[0.5], [0.3]]), n_threads=2)
+        assert {k: len(v) for k, v in calls.items()} == {
+            "rng": 3, "kernel": 3, "block": 3}
+        assert sorted(inc.size for inc in calls["rng"]) == sorted(
+            math.ceil(cfg.block_paths(b) / 2) * cfg.n_steps * cfg.d
+            for b in range(3))
+
     def test_stderr_shrinks_like_inverse_sqrt_n(self):
         stderrs = []
         ns = [1000, 10_000, 100_000]
@@ -207,8 +271,9 @@ class TestMCSTransform:
         # tested with common random numbers (coarse increments summed from
         # the fine paths) so the paired difference isolates the grid bias
         phi = TestFunction([[0.5]])
-        cfg_hi = small_cfg(n_paths=20_000, n_steps=4096, seed=21)
-        cfg_lo = small_cfg(n_paths=20_000, n_steps=2048, seed=21)
+        # 20,000 drawn paths, row 0 of each
+        cfg_hi = small_cfg(n_paths=40_000, n_steps=4096, seed=21)
+        cfg_lo = small_cfg(n_paths=40_000, n_steps=2048, seed=21)
         t_hi = np.arange(cfg_hi.n_steps) * cfg_hi.T / cfg_hi.n_steps
         t_lo = np.arange(cfg_lo.n_steps) * cfg_lo.T / cfg_lo.n_steps
         g_hi, g_lo = [], []
@@ -216,8 +281,8 @@ class TestMCSTransform:
         for b in range(cfg_hi.n_blocks):
             inc = simulate_increments(cfg_hi, b).astype(np.float64)
             inc_lo = inc.reshape(inc.shape[0], -1, 2, 1).sum(axis=2)
-            cur_hi = mollified_current_sample(cfg_hi, inc)[:, 0]
-            cur_lo = mollified_current_sample(cfg_lo, inc_lo)[:, 0]
+            cur_hi = mollified_current_sample(cfg_hi, inc)[0, :, 0]
+            cur_lo = mollified_current_sample(cfg_lo, inc_lo)[0, :, 0]
             w_hi = np.exp(np.einsum("m,pm->p", phi.eval(t_hi, 0),
                                     inc[:, :, 0]) + log_c)
             w_lo = np.exp(np.einsum("m,pm->p", phi.eval(t_lo, 0),
