@@ -5,8 +5,9 @@ Path-level Monte Carlo verification
 The closed-form S-transform of the mollified current can be checked by
 brute force: simulate Brownian paths, form the Ito sum of the mollified
 current, weight each path by the normalized Wick exponential of phi, and
-average.  Randomness is counter-based and keyed per block, so the estimate
-is bit-identical no matter how many threads run the blocks.
+average.  Each block of paths draws from its own stream, keyed on
+(seed, block), so the estimate is bit-identical no matter how many threads
+run the blocks.
 """
 
 import numpy as np

@@ -11,9 +11,9 @@ holds:
   * "quad_nodes": the nodes of one s_current call at x = (r, 0, ...),
     phi = [[1.0, 0.3]] * d, T = 1 and tol 1e-8, for d in {2, 3} and r from
     1e-1 down to 1e-12, where the current blows up at the origin;
-  * "mc_block": for criterion 5's first d = 1 and first d = 2 case, one
-    1,024-path block at 4,096 steps: the normals drawn and the best-of-5 ms
-    of simulate_increments, mollified_current_sample and the whole
+  * "mc_block": for each of criterion 5's four cases, one 1,024-path block
+    at 4,096 steps: the normals drawn and the best-of-5 ms of
+    simulate_increments, mollified_current_sample and the whole
     _block_moments, at one thread;
   * "perfbench": the last JSON line of perfbench/run.py --seed 1 for each
     workload, run for BENCHMARK.json's run_seconds;
@@ -93,8 +93,8 @@ def best_ms(fn, repeats=5):
 
 def mc_block():
     rows = []
-    for d in (1, 2):
-        case = next(c for c in MC_ACCEPTANCE_CASES if c["d"] == d)
+    for case in MC_ACCEPTANCE_CASES:
+        d = case["d"]
         cfg = montecarlo.MCConfig(
             d=d, T=1.0, x=tuple(case["x"]), n_paths=montecarlo.BLOCK_SIZE,
             n_steps=4096, eps2=case["eps2"], seed=case["seed"])

@@ -1,23 +1,28 @@
 """Path-level verification of the closed-form S-transforms.
 
-Brownian paths are simulated blockwise from a counter-based Philox
-generator keyed on (seed, block), with any seed in [0, 2^64), so every
-(path, step, component) increment is a pure function of the config and the
-result is bit-identical no matter how many worker threads run the blocks.
-The normals come from a vectorised Box-Muller transform of the raw Philox
-bits (see ``simulate_increments``).  A block (``BLOCK_SIZE`` paths) is the
-unit of keying and of thread work.  Each drawn path w is evaluated with its
-mirror -w, also Brownian, so a block of n paths draws ceil(n/2) paths.  The
-sampler and kernel run over chunks of ``CHUNK_PATHS`` drawn paths, whose
-arrays stay in the core's L2 cache while the passes over them run.  Paths
-are drawn and summed in ``DTYPE`` (float32); the moments are reduced in
-float64.  The mollified current is realized as a left-endpoint (Ito) sum
+Brownian paths are simulated blockwise, each block from its own SFC64
+stream seeded by SeedSequence(seed, spawn_key=(block,)) for any seed in
+[0, 2^64), so every (path, step, component) increment is a pure function of
+the config and the result is bit-identical no matter how many worker threads
+run the blocks.  The normals come from a vectorised Box-Muller transform of
+the raw SFC64 bits (see ``simulate_increments``).  A block (``BLOCK_SIZE``
+paths) is the unit of keying and of thread work.  Each drawn path w is
+evaluated with its mirror -w, also Brownian, so a block of n paths draws
+ceil(n/2) paths.  The sampler and kernel run over chunks of ``CHUNK_PATHS``
+drawn paths, whose arrays stay in the core's L2 cache while the passes over
+them run.  Paths are drawn and summed in ``DTYPE`` (float32); the moments
+are reduced in float64.  The mollified current is realized as a
+left-endpoint (Ito) sum
 
     sum_k p_eps2(x - B(t_k)) dB(t_k),
 
 which for the adapted, square-integrable mollified integrand coincides with
-the anticipating integral the closed forms describe.  The empirical
-S-transform weights each sample by the normalized exponential
+the anticipating integral the closed forms describe.  The kernel floors the
+log-density at -72 before exponentiating.  Below about -87 a float32 exp is
+subnormal, and exp and the sum over subnormals run over 10x slower.  The
+floored density e^-72 ~ 5e-32 times any increment above ~1e-5 standard
+deviations is still a normal float32, and it changes no sum it joins.  The
+empirical S-transform weights each sample by the normalized exponential
 exp(<w, phi> - |phi|^2 / 2), with <w, phi> the Wiener integral of phi.
 """
 
@@ -54,6 +59,10 @@ class MCConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("d", "n_paths", "n_steps"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         x = tuple(float(v) for v in np.atleast_1d(self.x))
         object.__setattr__(self, "x", x)
         if len(x) != self.d or self.d < 1:
@@ -103,11 +112,12 @@ def simulate_increments(cfg, block):
     The block's n = ``cfg.block_paths(block)`` paths are antithetic pairs:
     one path of each pair is drawn, and its mirror is -dB.
 
-    The block's stream is Philox keyed on the uint64 pair (seed, block)
-    (keyed, not advanced, so a block never depends on scheduling), read in
-    chunks of ``CHUNK_PATHS`` paths.  Each 32-bit half of its raw 64-bit
-    output gives a midpoint uniform u = (k + 1/2) 2^-24 from its top 24 bits
-    k, strictly inside (0, 1).  A vectorised Box-Muller transform pairs a
+    The block's stream is SFC64 seeded by SeedSequence(seed,
+    spawn_key=(block,)): keyed, not advanced, so a block never depends on
+    scheduling, and about half Philox's cost per 64-bit word.  It is read in
+    chunks of ``CHUNK_PATHS`` paths.  Each 32-bit half of a raw 64-bit word
+    gives a midpoint uniform u = (k + 1/2) 2^-24 from its top 24 bits k,
+    strictly inside (0, 1).  A vectorised Box-Muller transform pairs a
     radius uniform u1 from the first half of a chunk's words with an angle
     uniform u2 from the second half and returns sqrt(-2 ln u1) cos(2 pi u2) and
     sqrt(-2 ln u1) sin(2 pi u2).  Since u1 >= 2^-25, no draw exceeds
@@ -120,9 +130,8 @@ def simulate_increments(cfg, block):
     if not 0 <= block < cfg.n_blocks:
         raise IndexError(f"block {block} out of range")
     n, m, d = (cfg.block_paths(block) + 1) // 2, cfg.n_steps, cfg.d
-    # a uint64 array: a Python list would pass through float64 and lose the
-    # low bits of a seed >= 2^63
-    bitgen = np.random.Philox(key=np.array([cfg.seed, block], dtype=np.uint64))
+    bitgen = np.random.SFC64(np.random.SeedSequence(cfg.seed,
+                                                    spawn_key=(block,)))
     out = np.empty((n, d, m), dtype=DTYPE)
     for lo in range(0, n, CHUNK_PATHS):
         _box_muller(bitgen, out[lo:lo + CHUNK_PATHS].reshape(-1), cfg.T / m)
@@ -180,6 +189,7 @@ def mollified_current_sample(cfg, increments):
                     qr += term
         qk *= -0.5 / cfg.eps2
         qk += log_norm
+        np.maximum(qk, -72.0, out=qk)  # no subnormal densities (see above)
         dens = np.exp(qk, out=qk)
         for r, j in np.ndindex(2, d):
             out[r, lo:lo + len(chunk), j] = np.einsum("pm,pm->p", dens[r],

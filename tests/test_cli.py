@@ -83,6 +83,11 @@ class TestExitCodes:
         assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "is not a JSON number" in capsys.readouterr().err
 
+    def test_fractional_step_count_names_the_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"kind": "mc", "n_steps": 64.5})
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "n_steps must be an integer" in capsys.readouterr().err
+
     def test_bad_seed_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"T": 1.0})
         assert main(["diverge", "--config", cfg, "--seed", str(2 ** 64)]) == 2

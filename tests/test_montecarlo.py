@@ -1,5 +1,6 @@
 """Deterministic parallel Monte Carlo verification of the closed forms."""
 
+import dataclasses
 import json
 import math
 
@@ -11,6 +12,7 @@ from hidacur import (CurrentParams, MCConfig, TestFunction, mc_s_transform,
                      mollified_current_sample, s_current_mollified,
                      simulate_increments)
 from hidacur import montecarlo
+from hidacur.experiments import MC_ACCEPTANCE_CASES
 from hidacur.montecarlo import BLOCK_SIZE, _box_muller, default_threads
 
 
@@ -79,8 +81,8 @@ class TestIncrements:
         assert stats.norm.sf(z[0]) * 2 == pytest.approx(4e-9, rel=0.05)
 
     def test_seeds_at_and_above_2_63_key_their_own_streams(self):
-        # a list key would pass through float64 and key 2^63 + 12345 and
-        # 2^63 + 12346 both as 2^63 + 12288, and 2^64 - 1 as seed 0
+        # a key passed through float64 would merge 2^63 + 12345 and
+        # 2^63 + 12346 into 2^63 + 12288, and 2^64 - 1 into seed 0
         seeds = [0, 1, 2 ** 63, 2 ** 63 + 1, 2 ** 63 + 12288, 2 ** 63 + 12345,
                  2 ** 63 + 12346, 2 ** 64 - 2, 2 ** 64 - 1]
         draws = [simulate_increments(small_cfg(n_paths=4, n_steps=8, seed=s),
@@ -88,14 +90,22 @@ class TestIncrements:
         assert len(set(draws)) == len(seeds)
 
     @pytest.mark.parametrize("seed", [0, 20260501, 2 ** 63 - 1])
-    def test_seeds_below_2_63_keep_their_stream(self, seed):
-        # below 2^63 a list key is exact, so the uint64 key reproduces it;
-        # block 1 holds the last 8 paths, 4 drawn paths in one chunk
+    def test_stream_is_sfc64_keyed_by_seed_and_block(self, seed):
+        # block 1 holds the last 8 paths, 4 drawn paths in one chunk, drawn
+        # by Box-Muller from SFC64 seeded with SeedSequence(seed, (block,))
         cfg = small_cfg(n_paths=BLOCK_SIZE + 8, n_steps=16, seed=seed)
         z = np.empty(4 * 16, dtype=np.float32)
-        _box_muller(np.random.Philox(key=[seed, 1]), z, cfg.T / cfg.n_steps)
+        bitgen = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(1,)))
+        _box_muller(bitgen, z, cfg.T / cfg.n_steps)
         assert np.array_equal(simulate_increments(cfg, 1),
                               z.reshape(4, 1, 16).transpose(0, 2, 1))
+
+    def test_seed_and_block_are_not_interchangeable(self):
+        # (seed, block) = (0, 1) and (1, 0) key different streams
+        draws = [simulate_increments(
+            small_cfg(n_paths=BLOCK_SIZE + 8, n_steps=16, seed=seed), block)
+            for seed, block in [(0, 1), (1, 0)]]
+        assert not np.array_equal(draws[0][:4], draws[1][:4])
 
     def test_odd_count_and_partial_chunk(self):
         # 37 paths are 19 antithetic pairs: 19 drawn paths
@@ -133,24 +143,50 @@ class TestMollifiedCurrentSample:
         inc = simulate_increments(cfg, 0).astype(np.float64)
         assert len(inc) == 40
         x = np.asarray(cfg.x)
-        norm = (2 * np.pi * cfg.eps2) ** (-cfg.d / 2)
-        expected = np.zeros((2, len(inc), cfg.d))
-        for row, steps in enumerate((inc, -inc)):
-            for p in range(len(inc)):
-                b = np.zeros(cfg.d)
-                for k in range(cfg.n_steps):
-                    dens = norm * np.exp(-np.sum((x - b) ** 2) / (2 * cfg.eps2))
-                    expected[row, p] += dens * steps[p, k]
-                    b = b + steps[p, k]
+
+        def direct(eps2):
+            norm = (2 * np.pi * eps2) ** (-cfg.d / 2)
+            expected = np.zeros((2, len(inc), cfg.d))
+            lowest = np.inf         # the lowest log-density met
+            for row, steps in enumerate((inc, -inc)):
+                for p in range(len(inc)):
+                    b = np.zeros(cfg.d)
+                    for k in range(cfg.n_steps):
+                        expo = -np.sum((x - b) ** 2) / (2 * eps2)
+                        lowest = min(lowest, math.log(norm) + expo)
+                        expected[row, p] += norm * np.exp(expo) * steps[p, k]
+                        b = b + steps[p, k]
+            return expected, lowest
+
+        expected, _ = direct(cfg.eps2)
         for layout in (inc, np.ascontiguousarray(inc)):
             assert np.allclose(mollified_current_sample(cfg, layout), expected,
                                rtol=1e-12, atol=1e-14)
-        sample32 = mollified_current_sample(cfg, inc.astype(np.float32))
-        assert sample32.dtype == np.float32
-        assert sample32.shape == (2, 40, 2)
-        for row in range(2):
-            assert np.allclose(sample32[row], expected[row], rtol=1e-4,
-                               atol=1e-5 * np.abs(expected[row]).max())
+        # at eps2 = 0.01 some log-densities fall below the kernel's floor of
+        # -72 and below float32's smallest normal exp, about -87
+        narrow, lowest = direct(0.01)
+        assert lowest < -87.0
+        for eps2, ref in [(cfg.eps2, expected), (0.01, narrow)]:
+            sample32 = mollified_current_sample(
+                dataclasses.replace(cfg, eps2=eps2), inc.astype(np.float32))
+            assert sample32.dtype == np.float32
+            assert sample32.shape == (2, 40, 2)
+            for row in range(2):
+                assert np.allclose(sample32[row], ref[row], rtol=1e-4,
+                                   atol=1e-5 * np.abs(ref[row]).max())
+
+    def test_no_subnormal_densities(self):
+        # block 0 of criterion 5's d = 2, eps2 = 0.01 case, in float32:
+        # without the log-density floor, exp returns subnormals there
+        case = next(c for c in MC_ACCEPTANCE_CASES
+                    if c["d"] == 2 and c["eps2"] == 0.01)
+        cfg = MCConfig(d=2, T=1.0, x=tuple(case["x"]), n_paths=200_000,
+                       n_steps=4096, eps2=0.01, seed=case["seed"])
+        inc = simulate_increments(cfg, 0)
+        assert inc.dtype == np.float32
+        with np.errstate(under="raise"):
+            sample = mollified_current_sample(cfg, inc)
+        assert np.all(np.isfinite(sample))
 
     def test_ito_sum_is_centered(self):
         # 100,000 drawn paths, row 0 of each
@@ -345,6 +381,14 @@ class TestSerialization:
         # paths of seed 1
         with pytest.raises(ValueError, match="seed"):
             small_cfg(seed=seed)
+
+    @pytest.mark.parametrize("field,value", [
+        ("d", 1.0), ("n_paths", 2048.0), ("n_steps", 64.5), ("n_steps", "64")])
+    def test_count_not_an_integer_rejected(self, field, value):
+        # 2048.0 paths ran and wrote a float into the estimate body; 64.5
+        # steps failed later with a TypeError that named no field
+        with pytest.raises(ValueError, match=field):
+            small_cfg(**{field: value})
 
     @pytest.mark.parametrize("kw", [
         {"x": (math.nan,)}, {"x": (math.inf,)}, {"x": (-math.inf,)},
