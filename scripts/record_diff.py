@@ -6,7 +6,11 @@ Runs every configs/*.json of this tree through run_experiment once with
 this tree's src and once with <other-tree>/src, each in its own Python
 process, and drops wall_time_s.  Prints, per field (list indices folded,
 so 01_gamma_check.json.rows[].closed is one field), how many values
-changed and the largest absolute and relative change.  Exits 1 if any "passed" flag differs.
+changed and the largest absolute and relative change, or "-" where no
+number changed.  A string that holds a JSON object or list, such as an
+estimate body, is unfolded into fields of its own, e.g.
+05_mc_grid.json.rows[].estimate_body.mean[].  Exits 1 if any "passed" flag
+differs.
 """
 
 from __future__ import annotations
@@ -44,7 +48,13 @@ def records(tree):
 
 
 def leaves(node, path=""):
-    """{path: value} for every leaf of a JSON value, e.g. "a.rows[3].x"."""
+    """{path: value} for every leaf of a JSON value, e.g. "a.rows[3].x";
+    a string holding a JSON object or list counts as that value."""
+    if isinstance(node, str) and node.startswith(("{", "[")):
+        try:
+            node = json.loads(node)
+        except ValueError:
+            pass
     if isinstance(node, dict):
         items = ((f"{path}.{k}".lstrip("."), v) for k, v in node.items())
     elif isinstance(node, list):
@@ -64,12 +74,12 @@ def main(argv=None):
         sys.exit(__doc__)
     (other,) = args
     old, new = leaves(records(other)), leaves(records(ROOT))
-    stats = {}  # field -> [changed, total, max abs, max rel]
+    stats = {}  # field -> [changed, total, max abs, max rel]; None: no number
     passed_differs = False
     for path in sorted(old.keys() | new.keys()):
         field = re.sub(r"\[\d+\]", "[]", path)
         a, b = old.get(path), new.get(path)
-        row = stats.setdefault(field, [0, 0, 0.0, 0.0])
+        row = stats.setdefault(field, [0, 0, None, None])
         row[1] += 1
         same = a == b or (is_number(a) and is_number(b)
                           and math.isnan(a) and math.isnan(b))
@@ -78,15 +88,17 @@ def main(argv=None):
         row[0] += 1
         if is_number(a) and is_number(b):  # max() skips a NaN change
             diff = abs(b - a)
-            row[2] = max(row[2], diff)
-            row[3] = max(row[3], diff / abs(a) if a else math.inf)
+            row[2] = max(row[2] or 0.0, diff)
+            row[3] = max(row[3] or 0.0, diff / abs(a) if a else math.inf)
         passed_differs |= field.rsplit(".", 1)[-1] == "passed"
     width = max(map(len, stats))
     print(f"{'field':<{width}}  changed/total  max abs     max rel")
     for field, (changed, total, diff, rel) in stats.items():
         if changed:
+            diff, rel = ("-", "-") if diff is None else (f"{diff:.3g}",
+                                                         f"{rel:.3g}")
             print(f"{field:<{width}}  {changed:>7}/{total:<5}  "
-                  f"{diff:<10.3g}  {rel:.3g}")
+                  f"{diff:<10}  {rel}")
     unchanged = sum(1 for row in stats.values() if not row[0])
     print(f"{unchanged} of {len(stats)} fields unchanged; passed flags "
           + ("DIFFER" if passed_differs else "agree"))

@@ -7,14 +7,15 @@ recurrence Gamma(a+1, x) = a Gamma(a, x) + x^a e^-x: positive terms, a few ulps
 """
 
 import math
+import sys
 
 __all__ = ["upper_incomplete_gamma", "singular_mass_closed"]
 
 
 def upper_incomplete_gamma(a, x):
     """Gamma(a, x) = int_x^inf y^{a-1} e^{-y} dy for 0 < x < inf and
-    a in {-1/2, 0, 1/2, 1, ...}; ValueError for any other a or x, and for a
-    value that overflows."""
+    a in {-1/2, 0, 1/2, 1, ...}; ValueError for any other a or x, for a
+    value that overflows, and for a normal-float value lost to e^-x = 0."""
     # a top-level import, run while stransform loads, slows `import hidacur` 10%
     from scipy.special import erfcx, exp1
     a, x = float(a), float(x)
@@ -36,6 +37,9 @@ def upper_incomplete_gamma(a, x):
         b += 1.0
     if value == math.inf:
         raise ValueError(f"Gamma({a}, {x}) overflows a float")
+    # Gamma(a, x) >= x^(a-1) e^-x for a >= 1: 0.0 is wrong where that is normal
+    if not value and (a - 1.0) * math.log(x) - x > math.log(sys.float_info.min):
+        raise ValueError(f"Gamma({a}, {x}) underflows in the recurrence")
     return value
 
 

@@ -238,7 +238,7 @@ class TestMCSTransform:
 
     @pytest.mark.parametrize("n_paths", [37, BLOCK_SIZE + 1])
     def test_odd_path_count_evaluates_ceil_half_pairs(self, n_paths):
-        # an odd count evaluates one extra mirrored path: the moments and
+        # an odd count evaluates one extra mirrored path: the samples and
         # the stderr are over ceil(n/2) pair means
         phi = TestFunction([[0.5, -0.2]])
         cfg = small_cfg(n_paths=n_paths, n_steps=32)
@@ -253,9 +253,13 @@ class TestMCSTransform:
         assert body["n_effective"] == n_paths
         t_left = np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps)
         log_c = -0.5 * phi.l2_norm_on_interval(0.0, cfg.T) ** 2
-        sg, sgg, sf, sff, sgf = sum(
+        g, f = map(np.concatenate, zip(*(
             montecarlo._block_moments(cfg, phi.eval_all(t_left), log_c, b)
-            for b in range(cfg.n_blocks))
+            for b in range(cfg.n_blocks))))
+        assert g.shape == f.shape == (pairs, cfg.d)
+        # the one-pass moment algebra, independent of the estimator's
+        sg, sgg, sf, sff, sgf = (g.sum(0), (g * g).sum(0), f.sum(0),
+                                 (f * f).sum(0), (g * f).sum(0))
         mean_g, mean_f = sg / pairs, sf / pairs
         var_f = sff / pairs - mean_f ** 2
         cov = sgf / pairs - mean_g * mean_f
@@ -263,6 +267,17 @@ class TestMCSTransform:
         var = (sgg / pairs - mean_g ** 2 - beta * cov) * pairs / (pairs - 1)
         assert body["mean"] == pytest.approx(mean_g - beta * mean_f, rel=1e-9)
         assert body["stderr"] == pytest.approx(np.sqrt(var / pairs), rel=1e-9)
+
+    def test_single_pair_has_zero_stderr(self):
+        # one path is one pair: n - 1 = 0, so the stderr divides by 1
+        phi = TestFunction([[0.5, -0.2]])
+        cfg = small_cfg(n_paths=1, n_steps=32)
+        bodies = {mc_s_transform(cfg, phi, n_threads=k).to_json()
+                  for k in (1, 2)}
+        assert len(bodies) == 1
+        body = json.loads(bodies.pop())
+        assert np.all(np.isfinite(body["mean"]))
+        assert body["stderr"] == [0.0]
 
     def test_one_draw_and_one_kernel_call_per_block(self, monkeypatch):
         # perfbench's tracer splits block time into rng and kernel by

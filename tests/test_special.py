@@ -62,6 +62,21 @@ class TestUpperIncompleteGamma:
         with pytest.raises(ValueError, match="overflows"):
             upper_incomplete_gamma(199.0, 0.5)
 
+    @pytest.mark.parametrize("a, x", [(150.0, 800.0), (10.0, 750.0),
+                                      (200.5, 900.0)])
+    def test_normal_value_lost_to_underflow_raises(self, a, x):
+        # mpmath: 1.64e85, 1.45e-300 and 4.1e198, all normal floats, while
+        # e^-x underflows and the recurrence would return 0.0
+        assert float(mpmath.gammainc(a, x)) > np.finfo(float).tiny
+        with pytest.raises(ValueError, match="underflows"):
+            upper_incomplete_gamma(a, x)
+
+    @pytest.mark.parametrize("a, x", [(1.0, 800.0), (3.0, 746.0)])
+    def test_value_below_normal_range_is_zero(self, a, x):
+        # mpmath: 3.7e-348 and 5.8e-319, below the least normal float
+        assert float(mpmath.gammainc(a, x)) < np.finfo(float).tiny
+        assert upper_incomplete_gamma(a, x) == 0.0
+
 
 class TestSingularMassClosed:
     def test_d3_displayed_identity(self):
