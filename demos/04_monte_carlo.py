@@ -3,9 +3,10 @@ Path-level Monte Carlo verification
 ===================================
 
 The closed-form S-transform of the mollified current can be checked by
-brute force: simulate Brownian paths, form the Ito sum of the mollified
-current, weight each path by the normalized Wick exponential of phi, and
-average.  Each block of paths draws from its own stream, keyed on
+brute force: simulate Brownian paths, shift each by phi (by Cameron-Martin
+the S-transform is the mean on the shifted path, S F(phi) = E[F(w + phi)]),
+form the Ito sum of the mollified current on the shifted path, and average.
+Each block of paths draws from its own stream, keyed on
 (seed, block), so the estimate is bit-identical no matter how many threads
 run the blocks.
 """

@@ -100,16 +100,16 @@ def mc_block():
             n_steps=4096, eps2=case["eps2"], seed=case["seed"])
         phi = mc_acceptance_phi(d, case["eps2"])
         phi_grid = phi.eval_all(np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
-        log_c = -0.5 * phi.l2_norm_on_interval(0.0, cfg.T) ** 2
         inc = montecarlo.simulate_increments(cfg, 0)
         rows.append({
             "d": d, "eps2": case["eps2"], "paths": cfg.n_paths,
             "n_steps": cfg.n_steps, "normals": inc.size,
             "rng_ms": best_ms(lambda: montecarlo.simulate_increments(cfg, 0)),
             "kernel_ms": best_ms(
-                lambda: montecarlo.mollified_current_sample(cfg, inc)),
+                lambda: montecarlo.mollified_current_sample(cfg, inc,
+                                                            phi_grid)),
             "block_ms": best_ms(
-                lambda: montecarlo._block_moments(cfg, phi_grid, log_c, 0)),
+                lambda: montecarlo._block_moments(cfg, phi_grid, 0)),
         })
     return rows
 

@@ -218,8 +218,8 @@ def run_second_chaos(knobs):
     """Second-chaos arbitration between the two conventions (criterion 4).
 
     Asserts the derivative convention against the numeric second derivative
-    and records (without asserting) the measured ratio to the printed-kernel
-    convention, expected -2."""
+    and records (without asserting) the ratio of that numeric value to the
+    printed-kernel convention, expected -2."""
     rng = np.random.default_rng(knobs.get("seed", 20260401))
     n_instances = knobs.get("n_instances", 50)
     atol = knobs.get("atol", 1e-6)
@@ -237,7 +237,7 @@ def run_second_chaos(knobs):
                "derivative_convention": deriv, "paper_convention": paper,
                "diff": diff}
         if abs(paper) > 1e-10:
-            row["ratio_derivative_to_paper"] = deriv / paper
+            row["ratio_derivative_to_paper"] = c2.value / paper
         rows.append(row)
     worst = _worst([r["diff"] for r in rows])
     ratios = [r["ratio_derivative_to_paper"] for r in rows

@@ -11,19 +11,21 @@ evaluated with its mirror -w, also Brownian, so a block of n paths draws
 ceil(n/2) paths.  The sampler and kernel run over chunks of ``CHUNK_PATHS``
 drawn paths, whose arrays stay in the core's L2 cache while the passes over
 them run.  Paths are drawn and summed in ``DTYPE`` (float32), and each block
-returns its pair means in float64.  The mollified current is realized as a
-left-endpoint (Ito) sum
+returns its pair means in float64.  By Cameron-Martin the S-transform is
+the mean on the shifted path, S F(phi) = E[F(w + phi)] (Kuo, White Noise
+Distribution Theory, 1996), so the mollified current is realized on w + phi
+as a left-endpoint (Ito) sum
 
-    sum_k p_eps2(x - B(t_k)) dB(t_k),
+    sum_k p_eps2(x - c(t_k) - B(t_k)) (dB(t_k) + phi(t_k) dt),
 
-which for the adapted, square-integrable mollified integrand coincides with
-the anticipating integral the closed forms describe.  The kernel floors the
-log-density at -72 before exponentiating.  Below about -87 a float32 exp is
-subnormal, and exp and the sum over subnormals run over 10x slower.  The
-floored density e^-72 ~ 5e-32 times any increment above ~1e-5 standard
-deviations is still a normal float32, and it changes no sum it joins.  The
-empirical S-transform weights each sample by the normalized exponential
-exp(<w, phi> - |phi|^2 / 2), with <w, phi> the Wiener integral of phi.
+with c(t_k) = sum_{i<k} phi(t_i) dt (the identity is exact on the grid).
+For the adapted, square-integrable mollified integrand this Ito sum
+coincides with the anticipating integral the closed forms describe.  The
+kernel floors the log-density at -72 before exponentiating.  Below about
+-87 a float32 exp is subnormal, and exp and the sum over subnormals run over
+10x slower.  The floored density e^-72 ~ 5e-32 times any increment above
+~1e-5 standard deviations is still a normal float32, and it changes no sum
+it joins.
 """
 
 from __future__ import annotations
@@ -159,32 +161,39 @@ def _box_muller(bitgen, z, var):
     z[half:] *= radius[:rest]
 
 
-def mollified_current_sample(cfg, increments):
-    """Ito sums of the mollified current, shape (2, paths, d): row 0 is
-    sum_k p_eps2(x - B(t_k)) dB(t_k), row 1 the mirror path's -sum_k
-    p_eps2(x + B(t_k)) dB(t_k).
+def mollified_current_sample(cfg, increments, phi_grid):
+    """Ito sums (g, f) of the mollified current on the shifted paths w + phi
+    (row 0) and -w + phi (row 1), each shape (2, paths, d).
 
-    increments has shape (paths, n_steps, d); B(t_k) is the left endpoint
-    (B(t_0) = 0), and p_eps2 is the d-dimensional Gaussian density of
-    variance eps2.  Paths are taken ``CHUNK_PATHS`` at a time, one prefix
+    f = +-sum_k p_eps2(x - c(t_k) -+ B(t_k)) dB(t_k), an Ito sum of an adapted
+    integrand and so exactly centred; g adds sum_k p_eps2(...) phi(t_k) dt.
+    increments is (paths, n_steps, d) and phi_grid, phi at the left endpoints,
+    (d, n_steps); B(t_0) = 0, and p_eps2 is the d-dimensional Gaussian density
+    of variance eps2.  Paths are taken ``CHUNK_PATHS`` at a time, one prefix
     sum per component serves both rows, and all arithmetic runs in place.
     """
     inc = np.asarray(increments)
     n, m, d = inc.shape
     log_norm = -0.5 * d * math.log(2.0 * math.pi * cfg.eps2)
-    out = np.empty((2, n, d), dtype=inc.dtype)
+    drift = np.asarray(phi_grid) * (cfg.T / m)           # phi_j(t_k) dt
+    # the centre x_j - c_j(t_k) both rows share, and the drift, in path dtype
+    centre, drift = np.array([np.asarray(cfg.x)[:, None] + drift
+                              - drift.cumsum(axis=1), drift], dtype=inc.dtype)
+    g, f = np.empty((2, 2, n, d), dtype=inc.dtype)
     b = np.empty((min(n, CHUNK_PATHS), m), dtype=inc.dtype)  # B_j(t_k)
     s = np.empty_like(b)                                     # scratch
-    q = np.empty((2,) + b.shape, dtype=inc.dtype)  # |B -+ x|^2, then density
+    q = np.empty((2,) + b.shape, dtype=inc.dtype)  # |B -+ centre|^2, then p
     for lo in range(0, n, CHUNK_PATHS):
-        chunk = inc[lo:lo + CHUNK_PATHS]
+        rows = slice(lo, lo + CHUNK_PATHS)
+        chunk = inc[rows]
         bk, sk, qk = b[:len(chunk)], s[:len(chunk)], q[:, :len(chunk)]
         for j in range(d):
             bk[:, 0] = 0.0
             np.cumsum(chunk[:, :-1, j], axis=1, out=bk[:, 1:])
             for qr, sign in zip(qk, (-1.0, 1.0)):
                 term = qr if j == 0 else sk
-                np.square(np.add(bk, sign * cfg.x[j], out=term), out=term)
+                term[:] = sign * centre[j]  # faster than a broadcast add
+                np.square(np.add(term, bk, out=term), out=term)
                 if j:
                     qr += term
         qk *= -0.5 / cfg.eps2
@@ -192,26 +201,20 @@ def mollified_current_sample(cfg, increments):
         np.maximum(qk, -72.0, out=qk)  # no subnormal densities (see above)
         dens = np.exp(qk, out=qk)
         for r, j in np.ndindex(2, d):
-            out[r, lo:lo + len(chunk), j] = np.einsum("pm,pm->p", dens[r],
-                                                      chunk[:, :, j])
-    out[1] *= -1.0
-    return out
+            f[r, rows, j] = np.einsum("pm,pm->p", dens[r], chunk[:, :, j])
+            g[r, rows, j] = np.einsum("pm,m->p", dens[r], drift[j])
+    f[1] *= -1.0
+    g += f
+    return g, f
 
 
-def _block_moments(cfg, phi_grid, log_c, block):
+def _block_moments(cfg, phi_grid, block):
     """One block's pair means (g, f), each (pairs, d) float64: g of the
-    weighted current, f of the unweighted one (the name predates them)."""
+    shifted current, f of its Ito part (the name predates them)."""
     inc = simulate_increments(cfg, block)
-    current = mollified_current_sample(cfg, inc)          # (2, pairs, d)
-    # the Wiener integral sum_i int phi_i dB_i as a left-endpoint sum; -s for -w
-    s = np.einsum("dm,pmd->p", phi_grid.astype(inc.dtype), inc).astype(np.float64)
-    weight = np.exp(np.stack([s, -s]) + log_c)            # (2, pairs)
-    # float64 regardless of the path dtype; the control f = unweighted
-    # current is exactly centered (each Ito term pairs an adapted value with
-    # an independent increment, for -w as for w)
-    both = current.astype(np.float64)
-    return (0.5 * (both * weight[:, :, None]).sum(axis=0),
-            0.5 * both.sum(axis=0))
+    # float64 regardless of the path dtype
+    return tuple(0.5 * row.astype(np.float64).sum(axis=0)
+                 for row in mollified_current_sample(cfg, inc, phi_grid))
 
 
 def default_threads():
@@ -224,37 +227,29 @@ def default_threads():
 def mc_s_transform(cfg, phi, n_threads=None):
     """Empirical S-transform of the mollified current at phi.
 
-    Estimates E[current * exp(<w, phi> - |phi|^2/2)] componentwise over
-    cfg.n_paths paths in antithetic pairs (w, -w); the stderr is over the
-    ceil(n/2) pair means of each block of n, so an odd n_paths evaluates one
-    extra mirrored path.  Blocks are independent work units, and their pair
-    means are joined in block order, so the estimate is bit-identical for any
-    thread count.  Holding the pair means costs 32 bytes per pair and
-    component: 3.2 MB for 100,000 pairs at d = 2.
+    Estimates E[current(w + phi)] componentwise, the current's mean on the
+    shifted path, over cfg.n_paths paths in antithetic pairs (w, -w); the
+    stderr is over the ceil(n/2) pair means of each block of n, so an odd
+    n_paths evaluates one extra mirrored path.  Blocks are independent work
+    units, and their pair means are joined in block order, so the estimate
+    is bit-identical for any thread count.  Holding the pair means costs 32
+    bytes per pair and component: 3.2 MB for 100,000 pairs at d = 2.
 
-    The unweighted current f, whose mean is exactly zero (Ito sum of an
-    adapted integrand), is subtracted from the weighted current g as a
-    control variate, h = g - beta f, with beta the regression coefficient of
-    g on f over the pairs; this leaves the estimated expectation unchanged
-    up to O(1/N) while removing the noise shared with the weight-free part
-    of the sample.
+    The Ito part f of the shifted current g, whose mean is exactly zero for
+    -w as for w, is subtracted as a control variate, h = g - beta f, with
+    beta the regression coefficient of g on f over the pairs; this leaves
+    the expectation unchanged up to O(1/N) and removes the noise g shares
+    with f.
     """
     if phi.dimension != cfg.d:
         raise ValueError("test function dimension does not match d")
     n_threads = n_threads or default_threads()
-    dt = cfg.T / cfg.n_steps
-    t_left = np.arange(cfg.n_steps) * dt
-    phi_grid = phi.eval_all(t_left)                        # (d, M)
-    # only the restriction of phi to [0, T] couples to the current: the
-    # off-window part of the Wick exponential is independent of the path on
-    # [0, T] and its expectation cancels the matching piece of C(phi)
-    log_c = -0.5 * phi.l2_norm_on_interval(0.0, cfg.T) ** 2
+    phi_grid = phi.eval_all(np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
 
     # results in block order; _block_moments is looked up as a global per call
     with ThreadPoolExecutor(max_workers=n_threads) as ex:
         g, f = map(np.concatenate, zip(*ex.map(
-            lambda b: _block_moments(cfg, phi_grid, log_c, b),
-            range(cfg.n_blocks))))
+            lambda b: _block_moments(cfg, phi_grid, b), range(cfg.n_blocks))))
 
     fc = f - f.mean(axis=0)
     sff = (fc * fc).sum(axis=0)

@@ -71,8 +71,9 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None):
         unless a damping constant is given).  Without damping, p < 0 selects
         the substitution t = s^(1/(p+1)), which makes the integrand bounded.
     tol : requested absolute error, per row for a (k, n) integrand.
-    damping : optional c > 0 when f carries a factor exp(-c/t): f is flat at
-        0, for any exponent, and the mesh starts at min(T, 1, c), near its peak.
+    damping : optional c > 0 when f carries a factor exp(-c/t), flat at 0
+        for any exponent, or is bounded with its mass at t <~ c: the mesh
+        starts at min(T, 1, c), near its peak.
 
     Raises QuadratureBudgetError (with .best_estimate) when NODE_BUDGET runs
     out or the summed error estimate misses tol, IntegrandFailureError on a

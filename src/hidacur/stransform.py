@@ -153,11 +153,12 @@ def _current_kernel(p, phi, i=None, z=None, eps2=0.0, order=None):
     sum_k G_k z^k, G_0 = 1, G_1 = a, G_{k+1} = (a G_k - b G_{k-1}) / (k + 1).
     At x = 0, a = 0, so G_{n-1} = 0 for even n and O(t^((n-1)/2)) for odd n;
     p.origin_exponent gives the kernel's exponent there for every order.
-    eps2 > 0 bounds the kernel: exponent 0 and no existence check."""
+    eps2 > 0 bounds the kernel: exponent 0, no existence check, and its
+    mass at t <~ eps2 + |x|^2 / 2, the damping scale the mesh starts at."""
     x, d = p.x, p.d
     r2 = float(np.dot(x, x))
     if eps2 > 0.0:
-        opts = {"sing_exponent": 0.0}
+        opts = {"sing_exponent": 0.0, "damping": eps2 + r2 / 2.0}
     elif p.at_origin:
         opts = {"sing_exponent": p.origin_exponent(order or 1), "damping": None}
     else:

@@ -84,7 +84,7 @@ def test_criterion_4_second_chaos_arbitration():
     ok = rec["passed"] and rec["elapsed"] < 20.0
     report(4, ok, f"50 instances, worst diff vs derivative convention "
                   f"{rec['worst_diff']:.2e} (limit 1e-6); measured "
-                  f"derivative/paper ratio {ratio:.6f} "
+                  f"numeric/paper ratio {ratio:.6f} "
                   f"(flagged, expected -2, not asserted); "
                   f"{rec['elapsed']:.2f}s")
     assert ok

@@ -192,6 +192,19 @@ class TestRecords:
         assert len(rec["value"]) == len(rec["abs_error_estimate"]) == 2
         assert rec["node_count"] > 0
 
+    @pytest.mark.parametrize("eps2, ref", [
+        (1e-4, 1.05295), (1e-6, 1.60339), (1e-10, 2.70444), (1e-14, 3.80550)])
+    def test_mollified_at_origin_meets_tol(self, tmp_path, eps2, ref):
+        # references from scipy quad in log t (tests/test_stransform.py);
+        # the record said "passed" with 0.922 for every eps2 <= 1e-6
+        cfg = write_config(tmp_path, "c.json", {
+            "x": [0.0, 0.0], "T": 1.0, "phi": phi_ref([[1.0, 0.3]] * 2),
+            "eps2": eps2, "tol": 0.3})
+        assert main(["mollified", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        rec = json.loads((tmp_path / "mollified.json").read_text())
+        assert abs(rec["value"][0] - ref) <= 0.3
+
     def test_stransform_zero_phi_zero_vector(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "x": [0.5, 0.3], "T": 1.0, "phi": phi_ref([[0.0], [0.0]])})

@@ -12,7 +12,7 @@ from hidacur import (CurrentParams, MCConfig, TestFunction, mc_s_transform,
                      mollified_current_sample, s_current_mollified,
                      simulate_increments)
 from hidacur import montecarlo
-from hidacur.experiments import MC_ACCEPTANCE_CASES
+from hidacur.experiments import MC_ACCEPTANCE_CASES, mc_acceptance_phi
 from hidacur.montecarlo import BLOCK_SIZE, _box_muller, default_threads
 
 
@@ -21,6 +21,11 @@ def small_cfg(**kw):
                 eps2=0.05, seed=99)
     base.update(kw)
     return MCConfig(**base)
+
+
+def zero_grid(cfg):
+    """phi = 0 on the left endpoints: the current of the unshifted path."""
+    return np.zeros((cfg.d, cfg.n_steps))
 
 
 def all_increments(cfg):
@@ -122,7 +127,7 @@ class TestMollifiedCurrentSample:
         # constant times B(T)
         cfg = small_cfg(eps2=1e6, n_paths=16)
         inc = simulate_increments(cfg, 0).astype(np.float64)
-        sample = mollified_current_sample(cfg, inc)[0]
+        sample = mollified_current_sample(cfg, inc, zero_grid(cfg))[1][0]
         endpoint = inc.sum(axis=1)
         expected = (2 * np.pi * cfg.eps2) ** -0.5 * endpoint
         assert np.allclose(sample, expected, rtol=1e-4)
@@ -130,69 +135,111 @@ class TestMollifiedCurrentSample:
     def test_far_x_vanishes(self):
         cfg = small_cfg(x=(100.0,), eps2=0.01, n_paths=64)
         inc = simulate_increments(cfg, 0).astype(np.float64)
-        sample = mollified_current_sample(cfg, inc)
+        sample = mollified_current_sample(cfg, inc, zero_grid(cfg))
         assert np.all(np.abs(sample) < 1e-30)
 
     def test_matches_direct_formula(self):
-        # sum_k p_eps2(x - B(t_k)) dB(t_k), written out step by step in
-        # float64, for each drawn path (row 0) and its mirror -dB (row 1);
-        # 40 drawn paths fill one kernel chunk and part of a second, and
-        # the kernel's buffers follow the dtype of the increments
+        # f = sum_k p_eps2(x - c(t_k) - B(t_k)) dB(t_k) and g = f + sum_k
+        # p_eps2(...) phi(t_k) dt, written out step by step in float64, for
+        # each drawn path (row 0) and its mirror -dB (row 1), unshifted
+        # (phi = 0) and shifted; 40 drawn paths fill one kernel chunk and
+        # part of a second, and the kernel's buffers follow the dtype of the
+        # increments
         cfg = MCConfig(d=2, T=1.0, x=(0.3, -0.2), n_paths=80, n_steps=64,
                        eps2=0.05, seed=7)
         inc = simulate_increments(cfg, 0).astype(np.float64)
         assert len(inc) == 40
         x = np.asarray(cfg.x)
+        dt = cfg.T / cfg.n_steps
+        zero = zero_grid(cfg)
+        shift = TestFunction([[0.5, -0.2], [0.3]]).eval_all(
+            np.arange(cfg.n_steps) * dt)
 
-        def direct(eps2):
+        def direct(eps2, phi_grid):
             norm = (2 * np.pi * eps2) ** (-cfg.d / 2)
-            expected = np.zeros((2, len(inc), cfg.d))
+            expected = np.zeros((2, 2, len(inc), cfg.d))  # g, f
             lowest = np.inf         # the lowest log-density met
             for row, steps in enumerate((inc, -inc)):
                 for p in range(len(inc)):
-                    b = np.zeros(cfg.d)
+                    b = np.zeros(cfg.d)  # B(t_k) + c(t_k)
                     for k in range(cfg.n_steps):
                         expo = -np.sum((x - b) ** 2) / (2 * eps2)
                         lowest = min(lowest, math.log(norm) + expo)
-                        expected[row, p] += norm * np.exp(expo) * steps[p, k]
-                        b = b + steps[p, k]
+                        dens, drift = norm * np.exp(expo), phi_grid[:, k] * dt
+                        expected[0, row, p] += dens * (steps[p, k] + drift)
+                        expected[1, row, p] += dens * steps[p, k]
+                        b = b + steps[p, k] + drift
             return expected, lowest
 
-        expected, _ = direct(cfg.eps2)
+        expected, _ = direct(cfg.eps2, zero)
+        shifted, _ = direct(cfg.eps2, shift)
         for layout in (inc, np.ascontiguousarray(inc)):
-            assert np.allclose(mollified_current_sample(cfg, layout), expected,
-                               rtol=1e-12, atol=1e-14)
+            for grid, ref in [(zero, expected), (shift, shifted)]:
+                assert np.allclose(mollified_current_sample(cfg, layout, grid),
+                                   ref, rtol=1e-12, atol=1e-14)
         # at eps2 = 0.01 some log-densities fall below the kernel's floor of
         # -72 and below float32's smallest normal exp, about -87
-        narrow, lowest = direct(0.01)
+        narrow, lowest = direct(0.01, zero)
         assert lowest < -87.0
-        for eps2, ref in [(cfg.eps2, expected), (0.01, narrow)]:
+        for eps2, grid, ref in [(cfg.eps2, zero, expected),
+                                (0.01, zero, narrow),
+                                (cfg.eps2, shift, shifted)]:
             sample32 = mollified_current_sample(
-                dataclasses.replace(cfg, eps2=eps2), inc.astype(np.float32))
-            assert sample32.dtype == np.float32
-            assert sample32.shape == (2, 40, 2)
-            for row in range(2):
-                assert np.allclose(sample32[row], ref[row], rtol=1e-4,
-                                   atol=1e-5 * np.abs(ref[row]).max())
+                dataclasses.replace(cfg, eps2=eps2), inc.astype(np.float32),
+                grid)
+            for part, ref_part in zip(sample32, ref):
+                assert part.dtype == np.float32
+                assert part.shape == (2, 40, 2)
+                for row in range(2):
+                    assert np.allclose(part[row], ref_part[row], rtol=1e-4,
+                                       atol=1e-5 * np.abs(ref_part[row]).max())
+
+    def test_zero_phi_is_the_unshifted_current_bit_for_bit(self):
+        # at phi = 0 the centre x_j - c_j(t_k) is x_j, so g == f == the
+        # unshifted float32 Ito sums, written out here with the scalar x_j in
+        # the kernel's order of operations over one chunk (32 drawn paths)
+        cfg = MCConfig(d=2, T=1.0, x=(0.3, -0.2), n_paths=64, n_steps=64,
+                       eps2=0.05, seed=7)
+        inc = simulate_increments(cfg, 0)
+        g, f = mollified_current_sample(cfg, inc, zero_grid(cfg))
+        b = np.zeros((32, 64, 2), dtype=np.float32)
+        np.cumsum(inc[:, :-1], axis=1, out=b[:, 1:])
+        q = np.stack([(b + sign * np.float32(cfg.x)) ** 2 for sign in (-1, 1)])
+        q = q[..., 0] + q[..., 1]
+        q *= -0.5 / cfg.eps2
+        q += -math.log(2.0 * math.pi * cfg.eps2)
+        dens = np.exp(np.maximum(q, -72.0))
+        old = np.array([[np.einsum("pm,pm->p", dens[r], inc[:, :, j])
+                         for j in range(2)] for r in range(2)])
+        old[1] *= -1.0
+        old = old.transpose(0, 2, 1)
+        assert np.array_equal(f, old)
+        assert np.array_equal(g, f)
 
     def test_no_subnormal_densities(self):
-        # block 0 of criterion 5's d = 2, eps2 = 0.01 case, in float32:
-        # without the log-density floor, exp returns subnormals there
+        # block 0 of criterion 5's d = 2, eps2 = 0.01 case, in float32, on
+        # its shifted path: without the log-density floor, exp returns
+        # subnormals there
         case = next(c for c in MC_ACCEPTANCE_CASES
                     if c["d"] == 2 and c["eps2"] == 0.01)
         cfg = MCConfig(d=2, T=1.0, x=tuple(case["x"]), n_paths=200_000,
                        n_steps=4096, eps2=0.01, seed=case["seed"])
         inc = simulate_increments(cfg, 0)
         assert inc.dtype == np.float32
+        grid = mc_acceptance_phi(2, 0.01).eval_all(
+            np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
         with np.errstate(under="raise"):
-            sample = mollified_current_sample(cfg, inc)
+            sample = mollified_current_sample(cfg, inc, grid)
         assert np.all(np.isfinite(sample))
 
     def test_ito_sum_is_centered(self):
-        # 100,000 drawn paths, row 0 of each
+        # 100,000 drawn paths, row 0 of each: f stays centred on the
+        # shifted path, whose density is still adapted
         cfg = small_cfg(n_paths=200_000, n_steps=64, x=(0.3,))
-        samples = np.concatenate([
-            mollified_current_sample(cfg, simulate_increments(cfg, b))[0]
+        grid = TestFunction([[0.5]]).eval_all(
+            np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
+        samples = np.concatenate([mollified_current_sample(
+            cfg, simulate_increments(cfg, b), grid)[1][0]
             for b in range(cfg.n_blocks)]).astype(np.float64)
         stderr = samples.std() / np.sqrt(len(samples))
         assert abs(samples.mean()) <= 4 * stderr
@@ -200,12 +247,46 @@ class TestMollifiedCurrentSample:
 
 class TestMCSTransform:
     def test_phi_zero_centered(self):
-        # at phi = 0 the weight is 1, so the sample is its own control
-        # variate and the estimate is exactly 0 +- 0
+        # at phi = 0 the shift is 0, so g == f is its own control variate
+        # and the estimate is exactly 0 +- 0
         cfg = small_cfg(n_paths=20_000)
         est = mc_s_transform(cfg, TestFunction.zero(1, 2))
         assert est.mean.tolist() == [0.0]
         assert est.stderr.tolist() == [0.0]
+
+    def test_x_orthogonal_component_is_exactly_zero(self):
+        # criterion 5's d = 2 case: phi_1 = 0 adds no drift, so g_1 == f_1,
+        # beta = 1 and the estimate is 0 +- 0, as the closed form is 0
+        case = next(c for c in MC_ACCEPTANCE_CASES if c["d"] == 2)
+        phi = mc_acceptance_phi(2, case["eps2"])
+        cfg = MCConfig(d=2, T=1.0, x=tuple(case["x"]), n_paths=4096,
+                       n_steps=256, eps2=case["eps2"], seed=case["seed"])
+        est = mc_s_transform(cfg, phi)
+        assert est.mean[1] == 0.0 and est.stderr[1] == 0.0
+        assert est.stderr[0] > 0.0
+        assert s_current_mollified(CurrentParams(case["x"], 1.0), phi,
+                                   case["eps2"])[1] == 0.0
+
+    def test_agrees_with_the_wick_exponential_weight(self):
+        # S F(phi) = E[F(w) exp(<w, phi> - |phi|^2 / 2)] by definition and
+        # E[F(w + phi)] by Cameron-Martin: the weighted mean over unshifted
+        # pairs, with <w, phi> a left-endpoint sum and |phi| over [0, T]
+        phi = TestFunction([[0.5, -0.2]])
+        cfg = small_cfg(n_paths=20_000, n_steps=256)
+        t_left = np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps)
+        log_c = -0.5 * phi.l2_norm_on_interval(0.0, cfg.T) ** 2
+        pairs = []
+        for b in range(cfg.n_blocks):
+            inc = simulate_increments(cfg, b).astype(np.float64)
+            current = mollified_current_sample(cfg, inc, zero_grid(cfg))[1]
+            s = inc[:, :, 0] @ phi.eval(t_left, 0)
+            weight = np.exp(np.stack([s, -s]) + log_c)
+            pairs.append(0.5 * (current[:, :, 0] * weight).sum(axis=0))
+        weighted = np.concatenate(pairs)
+        est = mc_s_transform(cfg, phi)
+        stderr = math.hypot(weighted.std(ddof=1) / math.sqrt(len(weighted)),
+                            est.stderr[0])
+        assert abs(weighted.mean() - est.mean[0]) <= 4 * stderr
 
     def test_matches_closed_form_d1(self, rng):
         phi = TestFunction([[0.5]])
@@ -252,9 +333,8 @@ class TestMCSTransform:
         assert np.all(np.isfinite(body["mean"] + body["stderr"]))
         assert body["n_effective"] == n_paths
         t_left = np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps)
-        log_c = -0.5 * phi.l2_norm_on_interval(0.0, cfg.T) ** 2
         g, f = map(np.concatenate, zip(*(
-            montecarlo._block_moments(cfg, phi.eval_all(t_left), log_c, b)
+            montecarlo._block_moments(cfg, phi.eval_all(t_left), b)
             for b in range(cfg.n_blocks))))
         assert g.shape == f.shape == (pairs, cfg.d)
         # the one-pass moment algebra, independent of the estimator's
@@ -328,18 +408,13 @@ class TestMCSTransform:
         t_hi = np.arange(cfg_hi.n_steps) * cfg_hi.T / cfg_hi.n_steps
         t_lo = np.arange(cfg_lo.n_steps) * cfg_lo.T / cfg_lo.n_steps
         g_hi, g_lo = [], []
-        log_c = -0.5 * phi.l2_norm_on_interval(0.0, cfg_hi.T) ** 2
         for b in range(cfg_hi.n_blocks):
             inc = simulate_increments(cfg_hi, b).astype(np.float64)
             inc_lo = inc.reshape(inc.shape[0], -1, 2, 1).sum(axis=2)
-            cur_hi = mollified_current_sample(cfg_hi, inc)[0, :, 0]
-            cur_lo = mollified_current_sample(cfg_lo, inc_lo)[0, :, 0]
-            w_hi = np.exp(np.einsum("m,pm->p", phi.eval(t_hi, 0),
-                                    inc[:, :, 0]) + log_c)
-            w_lo = np.exp(np.einsum("m,pm->p", phi.eval(t_lo, 0),
-                                    inc_lo[:, :, 0]) + log_c)
-            g_hi.append(cur_hi * w_hi)
-            g_lo.append(cur_lo * w_lo)
+            g_hi.append(mollified_current_sample(
+                cfg_hi, inc, phi.eval_all(t_hi))[0][0, :, 0])
+            g_lo.append(mollified_current_sample(
+                cfg_lo, inc_lo, phi.eval_all(t_lo))[0][0, :, 0])
         g_hi = np.concatenate(g_hi)
         g_lo = np.concatenate(g_lo)
         stderr_hi = g_hi.std() / np.sqrt(len(g_hi))

@@ -301,6 +301,28 @@ class TestApproachToOrigin:
             change = self.run(2, r)[0] - self.run(2, 100 * r)[0]
             assert abs(change / step - 1.0) <= 2e-4, r
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_d2_constant(self, axis):
+        # 2 pi S xi_i(x)(phi) = phi_i(0) (ln(2T/r^2) - gamma) + C_i
+        # + O(r ln(1/r^2)), with the regular integral
+        # C_i = int_0^T [exp(-|c(t)|^2 / 2t) phi_i(t) - phi_i(0)] / t dt
+        phi = TestFunction([[1.0, 0.3], [0.5, -0.2]])
+        phi0 = phi.eval_all(np.zeros(1))[:, 0]
+
+        def bracket(t, i):
+            c = phi.cumulative_all(np.array([t]))[:, 0]
+            return (np.exp(-(c @ c) / (2 * t)) * phi.eval(t, i) - phi0[i]) / t
+
+        C = np.array([quad(bracket, 0.0, 1.0, args=(i,), epsabs=1e-13,
+                           epsrel=1e-13)[0] for i in range(2)])
+        for r in (1e-6, 1e-8, 1e-10):
+            x = np.zeros(2)
+            x[axis] = r
+            value = s_current(CurrentParams(x, 1.0), phi, tol=1e-13)
+            residual = (2 * np.pi * value - C
+                        - phi0 * (np.log(2.0 / r ** 2) - np.euler_gamma))
+            assert np.all(np.abs(residual) <= r * np.log(1 / r ** 2)), r
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_node_count_stays_flat(self, d):
         # the damped mesh starts at r^2 / 2, so each decade closer adds a
@@ -334,6 +356,28 @@ class TestMollified:
         assert np.isfinite(v1) and np.isfinite(v2)
         ratio = v2 / v1  # expect ~ (1e-4 / 1e-2)^(-1/2) = 10
         assert 5.0 < ratio < 20.0
+
+    def test_origin_d2_meets_tol_as_eps2_shrinks(self):
+        # the kernel's mass sits at t <~ eps2: a mesh starting at (0, 1]
+        # returned 0.922 for every eps2 <= 1e-6 at tol 0.3
+        phi = TestFunction([[1.0, 0.3]] * 2)
+        p = CurrentParams([0.0, 0.0], 1.0)
+
+        def kernel(u, eps2):  # in u = log t
+            t = np.exp(u)
+            c = phi.cumulative_all(np.array([t]))[:, 0]
+            return (t * np.exp(-(c @ c) / (2 * (t + eps2))) * phi.eval(t, 0)
+                    / (2 * np.pi * (t + eps2)))
+
+        for eps2, pinned in [(1e-4, 1.05295), (1e-6, 1.60339),
+                             (1e-10, 2.70444), (1e-14, 3.80550)]:
+            split = np.log(eps2)
+            ref = sum(quad(kernel, a, b, args=(eps2,), epsabs=0.0,
+                           epsrel=1e-13, limit=200)[0]
+                      for a, b in [(-800.0, split), (split, 0.0)])
+            assert ref == pytest.approx(pinned, abs=1e-5)
+            value = s_current_mollified(p, phi, eps2, tol=0.3)[0]
+            assert abs(value - ref) <= 0.3, eps2
 
     def test_eps2_domain(self):
         for eps2 in (0.0, np.inf):
