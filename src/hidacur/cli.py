@@ -117,11 +117,11 @@ def main(argv=None):
         return EXIT_CONFIG
 
     path = _write_outputs(args.out, args.kind, record)
-    status = "pass" if record.get("passed", True) else "FAIL"
+    # a record without "passed" ran no check: a single evaluation
+    passed = record.get("passed")
+    status = "done" if passed is None else "pass" if passed else "FAIL"
     print(f"{args.kind}: {status} ({record['wall_time_s']:.2f}s) -> {path}")
-    if not record.get("passed", True):
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return EXIT_NUMERIC if passed is False else EXIT_OK
 
 
 if __name__ == "__main__":

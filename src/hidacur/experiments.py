@@ -151,8 +151,7 @@ def run_stransform(knobs, mollified=False):
         values, [res] = s_current(p, phi, tol=tol, full_output=True)
     return {"value": values.tolist(),
             "abs_error_estimate": res.abs_error_estimate.tolist(),
-            "node_count": res.node_count,
-            "passed": True}
+            "node_count": res.node_count}
 
 
 def run_existence(knobs):
@@ -250,8 +249,9 @@ def run_second_chaos(knobs):
 
 
 def run_mc(knobs):
-    """Monte Carlo vs the mollified closed form (criterion 5).  A "seed"
-    knob reseeds case k with (seed + k) mod 2^64."""
+    """Monte Carlo vs the mollified closed form (criterion 5).  Each case
+    holds only d, x, eps2 and seed, and runs mc_acceptance_phi(d, eps2) at
+    T = 1.  A "seed" knob reseeds case k with (seed + k) mod 2^64."""
     cases = knobs.get("cases", MC_ACCEPTANCE_CASES)
     if "seed" in knobs:
         cases = [dict(c, seed=(knobs["seed"] + k) % 2 ** 64)
@@ -261,16 +261,15 @@ def run_mc(knobs):
     # fraction of the closed-form magnitude the stderr must stay under;
     # null disables the check (sensible for quick, small-N runs)
     stderr_fraction = knobs.get("stderr_fraction", 0.02)
+    unknown = {k for case in cases for k in case} - {"d", "x", "eps2", "seed"}
+    if unknown:
+        raise ValueError(f"unknown mc case keys {sorted(unknown)}")
     rows = []
     for case in cases:
         d, eps2 = case["d"], case["eps2"]
-        if "phi" in case:
-            phi = _phi_from_config(case["phi"])
-        else:
-            phi = mc_acceptance_phi(d, eps2)
-        cfg = MCConfig(d=d, T=case.get("T", 1.0), x=tuple(case["x"]),
-                       n_paths=n_paths, n_steps=n_steps, eps2=eps2,
-                       seed=case["seed"])
+        phi = mc_acceptance_phi(d, eps2)
+        cfg = MCConfig(d=d, T=1.0, x=tuple(case["x"]), n_paths=n_paths,
+                       n_steps=n_steps, eps2=eps2, seed=case["seed"])
         est = mc_s_transform(cfg, phi)
         p = CurrentParams(case["x"], cfg.T)
         closed = s_current_mollified(p, phi, eps2, tol=1e-11)

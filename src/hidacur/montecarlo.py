@@ -210,7 +210,7 @@ def mollified_current_sample(cfg, increments, phi_grid):
 
 def _block_moments(cfg, phi_grid, block):
     """One block's pair means (g, f), each (pairs, d) float64: g of the
-    shifted current, f of its Ito part (the name predates them)."""
+    shifted current, f of its Ito part."""
     inc = simulate_increments(cfg, block)
     # float64 regardless of the path dtype
     return tuple(0.5 * row.astype(np.float64).sum(axis=0)

@@ -15,11 +15,12 @@ with c_j(t) = int_0^t phi_j.  The current at the origin exists only in
 dimension 1; for d > 1 the integral diverges and CurrentParams.origin_exponent
 raises NonexistenceError (quantified in the diagnostics module).
 
-One integrand (_current_kernel) serves every component, the mollification
-and the chaos kernels of every order: its z^n Taylor coefficients, from one
-Hermite-type recurrence.  At the origin the kernels of odd order n < d
-diverge and the others stay finite.  s_current and s_current_mollified
-integrate all d components in one vector quadrature.
+One entry point (_integrate_current) integrates the one current kernel for
+every component, the mollification and the chaos kernels of every order:
+its z^n Taylor coefficients, from one Hermite-type recurrence.  At the
+origin the kernels of odd order n < d diverge and the others stay finite.
+s_current and s_current_mollified integrate all d components in one vector
+quadrature.
 
 A U-functional F(z, phi) takes a scalar z or a 1-d array of z and returns a
 result of the same shape (a Python float or complex for a scalar z), so a
@@ -36,7 +37,7 @@ import numpy as np
 
 from .diagnostics import _lstsq_1d
 from .errors import IntegrandFailureError, NonexistenceError
-from .quad import integrate_singular
+from .quad import QuadResult, integrate_singular
 from .special import singular_mass_closed
 
 __all__ = [
@@ -142,11 +143,13 @@ def s_donsker(x, t, phi, z=1.0):
     return _shaped_like((_TWO_PI * t) ** (-d / 2.0) * np.exp(-q / (2.0 * t)), z)
 
 
-def _current_kernel(p, phi, i=None, z=None, eps2=0.0, order=None):
-    """(f, opts) for integrate_singular(f, p.T, tol=..., **opts), where
+def _integrate_current(p, phi, tol, i=None, z=None, eps2=0.0, order=None):
+    """The QuadResult of int_0^T f(t) dt held to tol, where
     f(t) = (2 pi te)^(-d/2) exp(-|x - z c(t)|^2 / 2te) z phi(t), te = t + eps2.
-    An (m,) array z with component i gives one row per z, shape (m, n);
-    z None means z = 1, and with i None gives (d, n), one row per component.
+    Every current integral goes through here, so the kernel's endpoint
+    exponent and damping scale are set in this one place.
+    An (m,) array z with component i gives one row per z, shape (m,);
+    z None means z = 1, and with i None gives (d,), one row per component.
     order=n >= 1 takes the z^n Taylor coefficient, the n-th chaos kernel
     G_{n-1}(a, b) (2 pi te)^(-d/2) exp(-|x|^2 / 2te) phi(t): with
     a = x . c(t) / te and b = |c(t)|^2 / te, exp(z a - z^2 b / 2) =
@@ -158,16 +161,18 @@ def _current_kernel(p, phi, i=None, z=None, eps2=0.0, order=None):
     x, d = p.x, p.d
     r2 = float(np.dot(x, x))
     if eps2 > 0.0:
-        opts = {"sing_exponent": 0.0, "damping": eps2 + r2 / 2.0}
+        sing, damping = 0.0, eps2 + r2 / 2.0
     elif p.at_origin:
-        opts = {"sing_exponent": p.origin_exponent(order or 1), "damping": None}
+        sing, damping = p.origin_exponent(order or 1), None
     else:
         if r2 < np.finfo(float).tiny:
             raise IntegrandFailureError(
                 f"|x|^2 = {r2:g} underflows at x = {x.tolist()}")
-        opts = {"sing_exponent": -d / 2.0, "damping": r2 / 2.0}
+        sing, damping = -d / 2.0, r2 / 2.0
     if phi.dimension != d:
         raise ValueError("test function dimension does not match d")
+    if z is not None and not np.any(z):  # the checks above still hold at z = 0
+        return QuadResult(np.zeros_like(z), np.zeros(np.shape(z)), 0)
     # z as a column for the (m, n) rows; z = 1 is exact in every product
     zcol = np.ones((1, 1)) if z is None else np.asarray(z)[:, None]
 
@@ -194,7 +199,8 @@ def _current_kernel(p, phi, i=None, z=None, eps2=0.0, order=None):
             k = k * g
         return k * (v if i is None else v[i])
 
-    return f, opts
+    return integrate_singular(f, p.T, sing_exponent=sing, tol=tol,
+                              damping=damping)
 
 
 def s_current(p, phi, tol=1e-10, full_output=False):
@@ -205,8 +211,7 @@ def s_current(p, phi, tol=1e-10, full_output=False):
     x != 0 whose |x|^2 underflows.  full_output=True also returns the
     QuadResults spent: one, with length-d value and error arrays.
     """
-    f, opts = _current_kernel(p, phi)
-    res = integrate_singular(f, p.T, tol=tol, **opts)
+    res = _integrate_current(p, phi, tol)
     return (res.value, [res]) if full_output else res.value
 
 
@@ -219,8 +224,7 @@ def s_current_mollified(p, phi, eps2, tol=1e-10, full_output=False):
     """
     if not 0.0 < eps2 < np.inf:
         raise ValueError(f"eps2 must be finite and > 0, got {eps2}")
-    f, opts = _current_kernel(p, phi, eps2=eps2)
-    res = integrate_singular(f, p.T, tol=tol, **opts)
+    res = _integrate_current(p, phi, tol, eps2=eps2)
     return (res.value, [res]) if full_output else res.value
 
 
@@ -231,10 +235,8 @@ def current_ufunctional(p, i, tol=1e-12):
     on one shared mesh."""
 
     def f(z, phi):
-        z = np.asarray(z, dtype=complex)
-        g, opts = _current_kernel(p, phi, i, z=z)
-        return (integrate_singular(g, p.T, tol=tol, **opts).value
-                if np.any(z) else np.zeros_like(z))
+        return _integrate_current(p, phi, tol, i,
+                                  z=np.asarray(z, dtype=complex)).value
 
     return UFunctional(f)
 

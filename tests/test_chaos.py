@@ -7,8 +7,8 @@ from scipy.integrate import quad
 from hidacur import (CurrentParams, NonexistenceError,
                      TestFunction, UFunctional, UnstableDerivativeError, chaos,
                      extract_chaos_pairing, first_chaos_pairing_closed,
-                     integrate_singular, second_chaos_pairing_closed)
-from hidacur.stransform import (_current_kernel, current_ufunctional,
+                     second_chaos_pairing_closed)
+from hidacur.stransform import (_integrate_current, current_ufunctional,
                                 donsker_ufunctional, fit_ufunctional_bound)
 
 from conftest import random_phi
@@ -196,7 +196,7 @@ class TestHigherOrderClosed:
             phi = random_phi(rng, d, 5)
             numeric = extract_chaos_pairing(
                 current_ufunctional(p, i, tol=1e-13), phi, n)
-            closed = chaos._closed_pairing(p, phi, i, n, 1e-13)
+            closed = _integrate_current(p, phi, 1e-13, i, order=n).value
             assert numeric.value == pytest.approx(closed, abs=1e-10)
 
 
@@ -212,7 +212,7 @@ class TestOrdersAtOrigin:
             first_chaos_pairing_closed(p, phi, 0)
         assert second_chaos_pairing_closed(p, phi, 0) == 0.0
         # order 3: -(1/2)(2 pi)^(-d/2) int_0^1 t^(-d/2-1) |c(t)|^2 phi_0(t) dt
-        got = chaos._closed_pairing(p, phi, 0, 3, 1e-10)
+        got = _integrate_current(p, phi, 1e-10, 0, order=3).value
 
         def integrand(t):
             c = phi.cumulative_all(t)
@@ -224,18 +224,17 @@ class TestOrdersAtOrigin:
         assert got == pytest.approx(oracle, abs=1e-9)
         # the kernel is t^(-1/2) times a smooth function at d = 3, smooth at
         # d = 2, so even tol 1e-12 takes a few panels
-        f, opts = _current_kernel(p, phi, 0, order=3)
-        assert integrate_singular(f, 1.0, tol=1e-12, **opts).node_count <= 200
+        assert _integrate_current(p, phi, 1e-12, 0, order=3).node_count <= 200
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_order_three_is_continuous_at_origin(self, rng, d):
         phi = random_phi(rng, d, 5)
-        v0 = chaos._closed_pairing(CurrentParams(np.zeros(d), 1.0), phi, 0, 3,
-                                   1e-10)
+        v0 = _integrate_current(CurrentParams(np.zeros(d), 1.0), phi, 1e-10,
+                                0, order=3).value
         u = rng.normal(size=d)
         u /= np.linalg.norm(u)
-        gaps = [abs(chaos._closed_pairing(CurrentParams(r * u, 1.0), phi, 0,
-                                          3, 1e-10) - v0)
+        gaps = [abs(_integrate_current(CurrentParams(r * u, 1.0), phi, 1e-10,
+                                       0, order=3).value - v0)
                 for r in (1e-2, 1e-3, 1e-4)]
         assert gaps[1] < gaps[0] / 5 and gaps[2] < gaps[1] / 5
         assert gaps[2] < 1e-3 * abs(v0)

@@ -205,6 +205,16 @@ class TestRecords:
         rec = json.loads((tmp_path / "mollified.json").read_text())
         assert abs(rec["value"][0] - ref) <= 0.3
 
+    @pytest.mark.parametrize("kind", ["stransform", "mollified"])
+    def test_single_evaluation_prints_done(self, tmp_path, capsys, kind):
+        # one evaluation checks nothing, so its record holds no pass flag
+        cfg = write_config(tmp_path, "c.json", {
+            "x": [0.5], "T": 1.0, "eps2": 0.05, "phi": phi_ref([[1.0]])})
+        assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith(f"{kind}: done (")
+        rec = json.loads((tmp_path / f"{kind}.json").read_text())
+        assert "passed" not in rec
+
     def test_stransform_zero_phi_zero_vector(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "x": [0.5, 0.3], "T": 1.0, "phi": phi_ref([[0.0], [0.0]])})
@@ -285,6 +295,19 @@ class TestRecords:
             "n_paths": 64, "n_steps": 16, "stderr_fraction": None,
             "cases": [{"d": 1, "x": [0.5], "eps2": 0.05, "seed": -1}]})
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("phi", phi_ref([[1.0]])), ("T", 2.0), ("eps", 0.05)])
+    def test_mc_unknown_case_key_is_config_error(self, tmp_path, capsys, key,
+                                                 value):
+        # a case runs the acceptance phi at T = 1; a key that would not take
+        # effect is refused, not ignored
+        case = {"d": 1, "x": [0.5], "eps2": 0.05, "seed": 7, key: value}
+        cfg = write_config(tmp_path, "c.json", {
+            "n_paths": 64, "n_steps": 16, "stderr_fraction": None,
+            "cases": [case]})
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"unknown mc case keys ['{key}']" in capsys.readouterr().err
 
     def test_mc_explicit_cases_keep_their_seeds(self, tmp_path):
         from hidacur.experiments import mc_acceptance_phi

@@ -8,12 +8,13 @@ from scipy.special import gamma
 from hidacur import (CurrentParams, IntegrandFailureError, MCConfig,
                      NonexistenceError, TestFunction, UFunctional,
                      check_integrability, default_cutoffs, divergence_scan,
-                     donsker_ufunctional, fit_ufunctional_bound,
-                     mc_s_transform, s_current, s_current_mollified,
-                     s_donsker, upper_incomplete_gamma,
+                     donsker_ufunctional, first_chaos_pairing_closed,
+                     fit_ufunctional_bound, mc_s_transform, s_current,
+                     s_current_mollified, s_donsker,
+                     second_chaos_pairing_closed, upper_incomplete_gamma,
                      wick_integrand_ufunctional)
-from hidacur import schwartz, stransform
-from hidacur.stransform import _current_kernel, current_ufunctional
+from hidacur import chaos, schwartz, stransform
+from hidacur.stransform import _integrate_current, current_ufunctional
 
 from conftest import random_phi
 
@@ -184,7 +185,11 @@ class TestSCurrent:
         {"i": 1, "order": 5}])
     def test_one_hermite_table_per_integrand_call(self, rng, monkeypatch, kw):
         phi = random_phi(rng, 2, 5)
-        f, _ = _current_kernel(CurrentParams([0.4, -0.3], 1.0), phi, **kw)
+        integrands = []
+        monkeypatch.setattr(stransform, "integrate_singular",
+                            lambda f, T, **opts: integrands.append(f))
+        _integrate_current(CurrentParams([0.4, -0.3], 1.0), phi, 1e-10, **kw)
+        (f,) = integrands
         t = np.linspace(0.05, 1.0, 7)
         expected = f(t)
         calls = []
@@ -196,6 +201,33 @@ class TestSCurrent:
 
         monkeypatch.setattr(schwartz, "hermite_values", counted)
         assert np.array_equal(f(t), expected)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda p, phi: s_current(p, phi),
+        lambda p, phi: s_current_mollified(p, phi, 0.05),
+        lambda p, phi: current_ufunctional(p, 1)(np.array([0.5, 2j, -1.5]),
+                                                 phi),
+        lambda p, phi: first_chaos_pairing_closed(p, phi, 0),
+        lambda p, phi: second_chaos_pairing_closed(p, phi, 1),
+    ], ids=["s_current", "mollified", "ufunctional", "first", "second"])
+    def test_one_quadrature_through_the_entry_point(self, rng, monkeypatch,
+                                                    evaluate):
+        # every current integral is one integrate_singular call, made in
+        # stransform._integrate_current; chaos integrates nothing itself
+        calls = []
+        integrate = stransform.integrate_singular
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("chaos called integrate_singular")
+
+        monkeypatch.setattr(stransform, "integrate_singular", counted)
+        monkeypatch.setattr(chaos, "integrate_singular", fail)
+        evaluate(CurrentParams([0.4, -0.3], 1.0), random_phi(rng, 2, 5))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("T", [1.0, 16.0, 40.0, 1e3, 1e5])
@@ -445,6 +477,10 @@ class TestBatchedZ:
         out = F(np.zeros(3), random_phi(rng, 1, 3))
         assert out.shape == (3,) and not np.any(out)
         assert F(0.0, random_phi(rng, 1, 3)) == 0.0
+        # the existence check still runs at z = 0
+        with pytest.raises(NonexistenceError):
+            current_ufunctional(CurrentParams([0.0, 0.0], 1.0), 0)(
+                np.zeros(3), random_phi(rng, 2, 3))
 
     def test_scalar_z_is_adapted_at_the_call(self, rng):
         # func sees a length-1 array; the caller gets a Python scalar back
