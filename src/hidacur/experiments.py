@@ -1,15 +1,15 @@
 """Batch experiment runners shared by the CLI and the acceptance suite.
 
-Each runner consumes a plain dict of knobs (the parsed JSON config), runs
-one experiment kind, and returns a JSON-able result record with the inputs
-echoed, the outputs, error estimates, and a per-check pass flag.  The
-default knobs reproduce the acceptance grid exactly.
+A config's keys are its runner's keyword parameters, so Python refuses a
+key the runner does not take.  Each runner returns a JSON-able record with
+outputs and error estimates, and a pass flag if it ran a check (a single
+stransform or mollified evaluation runs none); run_experiment echoes the
+inputs.  The default parameters reproduce the acceptance grid exactly.
 """
 
 from __future__ import annotations
 
 import time
-from functools import partial
 
 import numpy as np
 
@@ -110,16 +110,13 @@ def _worst(values):
     return float(np.max(values, initial=0.0))
 
 
-def run_gamma_check(knobs):
+def run_gamma_check(d_values=(1, 2, 3, 4, 5), r_values=(0.5, 1.0, 2.0),
+                    T_values=(0.5, 1.0, 2.0), rtol=1e-9):
     """Closed-form singular mass vs direct adaptive quadrature (criterion 1)."""
-    ds = knobs.get("d_values", [1, 2, 3, 4, 5])
-    rs = knobs.get("r_values", [0.5, 1.0, 2.0])
-    Ts = knobs.get("T_values", [0.5, 1.0, 2.0])
-    rtol = knobs.get("rtol", 1e-9)
     rows = []
-    for d in ds:
-        for r in rs:
-            for T in Ts:
+    for d in d_values:
+        for r in r_values:
+            for T in T_values:
                 closed = singular_mass_closed(d, r, T)
                 res = integrate_singular(
                     lambda t: t ** (-d / 2.0) * np.exp(-r * r / (2.0 * t)),
@@ -132,35 +129,32 @@ def run_gamma_check(knobs):
             "passed": bool(worst <= rtol), "rtol": rtol}
 
 
-def run_stransform(knobs, mollified=False):
-    """Closed-form current S-transform on one parameter set (CLI kinds
-    "stransform" and, with mollified=True, "mollified", which needs "eps2").
-
-    With "sweep": true, the stransform kind runs the existence-region sweep
-    instead of a single evaluation.  A single unmollified evaluation at
-    x = 0 with d > 1 raises NonexistenceError (exit code 4 in the CLI)."""
-    if knobs.get("sweep") and not mollified:
-        return run_existence(knobs)
-    p = CurrentParams(knobs["x"], knobs["T"])
-    phi = _phi_from_config(knobs["phi"])
-    tol = knobs.get("tol", 1e-10)
-    if mollified:
-        values, [res] = s_current_mollified(p, phi, knobs["eps2"], tol=tol,
-                                            full_output=True)
-    else:
-        values, [res] = s_current(p, phi, tol=tol, full_output=True)
+def _evaluate(current, x, T, phi, *args, tol=1e-10):
+    """Record of one closed-form evaluation current(p, phi, *args)."""
+    values, [res] = current(CurrentParams(x, T), _phi_from_config(phi), *args,
+                            tol=tol, full_output=True)
     return {"value": values.tolist(),
             "abs_error_estimate": res.abs_error_estimate.tolist(),
             "node_count": res.node_count}
 
 
-def run_existence(knobs):
+def run_stransform(sweep=False, **knobs):
+    """Closed-form current S-transform on one parameter set: x, T, phi and
+    tol.  At x = 0 with d > 1 it raises NonexistenceError (exit code 4 in
+    the CLI).  With "sweep": true it runs run_existence on the other knobs
+    instead."""
+    return run_existence(**knobs) if sweep else _evaluate(s_current, **knobs)
+
+
+def run_mollified(x, T, phi, eps2, tol=1e-10):
+    """Mollified current S-transform on one parameter set."""
+    return _evaluate(s_current_mollified, x, T, phi, eps2, tol=tol)
+
+
+def run_existence(seed=20260201, tol=1e-8, n_nonzero=20, n_origin_d1=5):
     """Random sweep of the existence region plus the nonexistence wall
     (criterion 2)."""
-    rng = np.random.default_rng(knobs.get("seed", 20260201))
-    tol = knobs.get("tol", 1e-8)
-    n_nonzero = knobs.get("n_nonzero", 20)
-    n_origin_d1 = knobs.get("n_origin_d1", 5)
+    rng = np.random.default_rng(seed)
     rows = []
     instances = [_random_instance(rng, 2.0) for _ in range(n_nonzero)]
     instances += [(1, np.zeros(1), _random_phi(rng, 1))
@@ -184,22 +178,31 @@ def run_existence(knobs):
     return {"rows": rows, "refusals": refusals, "passed": passed, "tol": tol}
 
 
-def run_chaos(knobs):
-    """Chaos consistency (CLI kind): numeric extraction vs closed forms.
-
-    "order": 1 (default) checks the first-chaos pairing; "order": 2 runs the
-    second-chaos convention arbitration."""
-    if knobs.get("order", 1) == 2:
-        return run_second_chaos(knobs)
-    rng = np.random.default_rng(knobs.get("seed", 20260301))
-    n_instances = knobs.get("n_instances", 50)
-    atol = knobs.get("atol", 1e-8)
-    rows = []
+def _chaos_instances(seed, n_instances):
+    """Yield (d, x, i, p, phi, F) per random instance: F is the
+    U-functional of component i of the current at x, T = 1."""
+    rng = np.random.default_rng(seed)
     for _ in range(n_instances):
         d, x, phi = _random_instance(rng, 1.5)
         i = int(rng.integers(0, d))
         p = CurrentParams(x, 1.0)
-        F = current_ufunctional(p, i, tol=1e-13)
+        yield d, x, i, p, phi, current_ufunctional(p, i, tol=1e-13)
+
+
+def run_chaos(order=1, **knobs):
+    """Chaos consistency (CLI kind): numeric extraction vs closed forms.
+
+    "order": 1 (default) checks the first-chaos pairing; "order": 2 runs the
+    second-chaos convention arbitration."""
+    if order not in (1, 2):
+        raise ValueError(f"chaos order must be 1 or 2, not {order!r}")
+    return (_first_chaos if order == 1 else run_second_chaos)(**knobs)
+
+
+def _first_chaos(seed=20260301, n_instances=50, atol=1e-8):
+    """First-chaos pairing, numeric extraction vs closed form (criterion 3)."""
+    rows = []
+    for d, x, i, p, phi, F in _chaos_instances(seed, n_instances):
         c0 = extract_chaos_pairing(F, phi, 0)
         c1 = extract_chaos_pairing(F, phi, 1)
         closed = first_chaos_pairing_closed(p, phi, i)
@@ -213,21 +216,14 @@ def run_chaos(knobs):
             "worst_order0": worst0, "passed": bool(passed), "atol": atol}
 
 
-def run_second_chaos(knobs):
+def run_second_chaos(seed=20260401, n_instances=50, atol=1e-6):
     """Second-chaos arbitration between the two conventions (criterion 4).
 
     Asserts the derivative convention against the numeric second derivative
     and records (without asserting) the ratio of that numeric value to the
     printed-kernel convention, expected -2."""
-    rng = np.random.default_rng(knobs.get("seed", 20260401))
-    n_instances = knobs.get("n_instances", 50)
-    atol = knobs.get("atol", 1e-6)
     rows = []
-    for _ in range(n_instances):
-        d, x, phi = _random_instance(rng, 1.5)
-        i = int(rng.integers(0, d))
-        p = CurrentParams(x, 1.0)
-        F = current_ufunctional(p, i, tol=1e-13)
+    for d, x, i, p, phi, F in _chaos_instances(seed, n_instances):
         c2 = extract_chaos_pairing(F, phi, 2)
         deriv = second_chaos_pairing_closed(p, phi, i, convention="derivative")
         paper = -0.5 * deriv  # exactly second_chaos_pairing_closed's "paper"
@@ -248,19 +244,19 @@ def run_second_chaos(knobs):
             "expected_ratio_flag": -2.0}
 
 
-def run_mc(knobs):
+_CASE_SEEDS = object()  # run_mc's default: every case keeps its own seed
+
+
+def run_mc(cases=MC_ACCEPTANCE_CASES, seed=_CASE_SEEDS, n_paths=200000,
+           n_steps=4096, stderr_fraction=0.02):
     """Monte Carlo vs the mollified closed form (criterion 5).  Each case
     holds only d, x, eps2 and seed, and runs mc_acceptance_phi(d, eps2) at
-    T = 1.  A "seed" knob reseeds case k with (seed + k) mod 2^64."""
-    cases = knobs.get("cases", MC_ACCEPTANCE_CASES)
-    if "seed" in knobs:
-        cases = [dict(c, seed=(knobs["seed"] + k) % 2 ** 64)
+    T = 1.  A seed reseeds case k with (seed + k) mod 2^64.
+    stderr_fraction bounds each stderr as a fraction of the closed-form
+    magnitude; null disables that check (sensible for quick, small-N runs)."""
+    if seed is not _CASE_SEEDS:
+        cases = [dict(c, seed=(seed + k) % 2 ** 64)
                  for k, c in enumerate(cases)]
-    n_paths = knobs.get("n_paths", 200000)
-    n_steps = knobs.get("n_steps", 4096)
-    # fraction of the closed-form magnitude the stderr must stay under;
-    # null disables the check (sensible for quick, small-N runs)
-    stderr_fraction = knobs.get("stderr_fraction", 0.02)
     unknown = {k for case in cases for k in case} - {"d", "x", "eps2", "seed"}
     if unknown:
         raise ValueError(f"unknown mc case keys {sorted(unknown)}")
@@ -287,13 +283,12 @@ def run_mc(knobs):
             "passed": all(r["passed"] for r in rows)}
 
 
-def run_diverge(knobs):
-    """Divergence scan over dimensions (criterion 6)."""
-    T = knobs.get("T", 1.0)
-    ds = knobs.get("d_values", [1, 2, 3, 4, 5, 6])
-    cutoffs = np.asarray(knobs.get("cutoffs", default_cutoffs(T)))
+def run_diverge(T=1.0, d_values=(1, 2, 3, 4, 5, 6), cutoffs=None):
+    """Divergence scan over dimensions (criterion 6); cutoffs default to
+    default_cutoffs(T)."""
+    cutoffs = np.asarray(default_cutoffs(T) if cutoffs is None else cutoffs)
     rows = []
-    for d in ds:
+    for d in d_values:
         rep = divergence_scan(d, T, cutoffs)
         expect = "convergent" if d == 1 else "divergent"
         row = {"d": d, "verdict": rep.verdict, "model": rep.model,
@@ -310,13 +305,11 @@ def run_diverge(knobs):
     return {"rows": rows, "T": T, "passed": all(r["passed"] for r in rows)}
 
 
-def run_ubound(knobs):
+def run_ubound(seed=20260701, n_samples=100,
+               radii=tuple(np.geomspace(2.0, 12.0, 8)), angles_per_radius=16):
     """Growth-bound fits on the Donsker delta and the proof integrand
     (criterion 7): normalized C2 must not exceed the analytic 1/2."""
-    rng = np.random.default_rng(knobs.get("seed", 20260701))
-    n_samples = knobs.get("n_samples", 100)
-    radii = np.asarray(knobs.get("radii", np.geomspace(2.0, 12.0, 8).tolist()))
-    angles = knobs.get("angles_per_radius", 16)
+    rng = np.random.default_rng(seed)
     limit = 0.5 * (1.0 + 1e-6)
     rows = []
     for trial in range(n_samples):
@@ -328,7 +321,7 @@ def run_ubound(knobs):
         else:
             F = wick_integrand_ufunctional(x, t, 0)
             kind = "wick_integrand"
-        fit = fit_ufunctional_bound(F, phi, radii, angles_per_radius=angles)
+        fit = fit_ufunctional_bound(F, phi, radii, angles_per_radius)
         rows.append({"kind": kind, "d": d, "x": x.tolist(), "t": t,
                      "C1": fit.C1, "C2": fit.C2})
     worst = _worst([r["C2"] for r in rows])
@@ -339,7 +332,7 @@ def run_ubound(knobs):
 EXPERIMENT_KINDS = {
     "gamma-check": run_gamma_check,
     "stransform": run_stransform,
-    "mollified": partial(run_stransform, mollified=True),
+    "mollified": run_mollified,
     "chaos": run_chaos,
     "mc": run_mc,
     "diverge": run_diverge,
@@ -348,12 +341,16 @@ EXPERIMENT_KINDS = {
 
 
 def run_experiment(kind, knobs):
-    """Dispatch a kind; returns the result record with inputs echoed."""
+    """Run a kind with knobs (less a "kind" key, which must name it) as its
+    runner's keyword arguments; returns the record with knobs echoed."""
     if kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}; "
                          f"choose from {sorted(EXPERIMENT_KINDS)}")
+    kwargs = dict(knobs)
+    if kwargs.pop("kind", kind) != kind:
+        raise ValueError(f"config is for kind {knobs['kind']!r}, not {kind!r}")
     t0 = time.perf_counter()
-    out = EXPERIMENT_KINDS[kind](knobs)
+    out = EXPERIMENT_KINDS[kind](**kwargs)
     out["kind"] = kind
     out["inputs"] = knobs
     out["wall_time_s"] = time.perf_counter() - t0

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hidacur import cli, experiments
+from hidacur import cli, experiments, stransform
 from hidacur.cli import main
 from hidacur.stransform import BoundFit
 
@@ -96,6 +96,39 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "c.json", {"T": 1.0})
         assert main(["diverge", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("kind, knobs, argv, key", [
+        ("stransform", {"x": [0.5], "T": 1.0, "phi": phi_ref([[1.0]]),
+                        "eps2": 0.05}, [], "eps2"),
+        ("gamma-check", {"d_values": [1], "r_values": [1.0],
+                         "T_values": [1.0], "rtoll": 1e-30}, [], "rtoll"),
+        ("ubound", {"n_samples": 2, "sed": 3}, [], "sed"),
+        ("diverge", {"d_values": [1], "cutoff": [1e-3]}, [], "cutoff"),
+        ("gamma-check", {"d_values": [1], "r_values": [1.0],
+                         "T_values": [1.0]}, ["--seed", "5"], "seed"),
+    ], ids=["stransform-eps2", "gamma-check-rtoll", "ubound-sed",
+            "diverge-cutoff", "gamma-check-seed"])
+    def test_key_the_kind_does_not_take_is_config_error(
+            self, tmp_path, capsys, kind, knobs, argv, key):
+        # a misspelt or misplaced key would otherwise run on its default
+        cfg = write_config(tmp_path, "c.json", knobs)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path)]
+                    + argv) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_chaos_order_other_than_1_or_2_is_config_error(
+            self, tmp_path, capsys, order):
+        cfg = write_config(tmp_path, "c.json", {"order": order,
+                                                "n_instances": 2})
+        assert main(["chaos", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"not {order}" in capsys.readouterr().err
+
+    def test_null_mc_seed_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "n_paths": 64, "n_steps": 16, "stderr_fraction": None,
+            "seed": None})
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+
 
 class TestFailedCheck:
     """A NaN row fails its runner's check, a failed check exits 3, and its
@@ -140,7 +173,7 @@ class TestFailedCheck:
                             lambda *args, **kwargs: math.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rec = experiments.run_second_chaos({"n_instances": 2})
+            rec = experiments.run_second_chaos(n_instances=2)
         assert rec["mean_ratio_derivative_to_paper"] is None
         assert rec["passed"] is False
 
@@ -208,8 +241,10 @@ class TestRecords:
     @pytest.mark.parametrize("kind", ["stransform", "mollified"])
     def test_single_evaluation_prints_done(self, tmp_path, capsys, kind):
         # one evaluation checks nothing, so its record holds no pass flag
-        cfg = write_config(tmp_path, "c.json", {
-            "x": [0.5], "T": 1.0, "eps2": 0.05, "phi": phi_ref([[1.0]])})
+        knobs = {"x": [0.5], "T": 1.0, "phi": phi_ref([[1.0]])}
+        if kind == "mollified":
+            knobs["eps2"] = 0.05
+        cfg = write_config(tmp_path, "c.json", knobs)
         assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.startswith(f"{kind}: done (")
         rec = json.loads((tmp_path / f"{kind}.json").read_text())
@@ -253,8 +288,7 @@ class TestRecords:
         assert rec["value"][0] > 0.0
 
     def test_idempotent_modulo_wall_time(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {
-            "T": 1.0, "seed": 3, "n_samples": 4})
+        cfg = write_config(tmp_path, "c.json", {"seed": 3, "n_samples": 4})
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["ubound", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["ubound", "--config", cfg, "--out", str(out2)]) == 0
@@ -349,6 +383,28 @@ class TestShippedConfigs:
         assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 0
         rec = json.loads((tmp_path / f"{kind}.json").read_text())
         assert rec["passed"] is True
+
+    @pytest.mark.parametrize("name", [*sorted(os.listdir(CONFIG_DIR)),
+                                      "stransform", "mollified"])
+    def test_unknown_key_refused_before_any_work(self, monkeypatch, name):
+        # covers the sweep and order forwarding without running a criterion
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran work before refusing the key")
+
+        for attr in ("integrate_singular", "mc_s_transform",
+                     "divergence_scan", "fit_ufunctional_bound"):
+            monkeypatch.setattr(experiments, attr, no_work)
+        monkeypatch.setattr(stransform, "integrate_singular", no_work)
+        if name.endswith(".json"):
+            with open(os.path.join(CONFIG_DIR, name)) as fh:
+                knobs = json.load(fh)
+        else:
+            knobs = {"kind": name, "x": [0.5], "T": 1.0,
+                     "phi": phi_ref([[1.0]])}
+            if name == "mollified":
+                knobs["eps2"] = 0.05
+        with pytest.raises(TypeError, match="'bogus'"):
+            experiments.run_experiment(knobs["kind"], dict(knobs, bogus=1))
 
     def test_all_shipped_configs_parse(self):
         names = sorted(os.listdir(CONFIG_DIR))
