@@ -34,6 +34,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -128,17 +129,10 @@ def timed_run(kind, config, threads):
     """(wall seconds, record) of one config at HIDACUR_THREADS=threads."""
     with open(ROOT / "configs" / config) as fh:
         knobs = json.load(fh)
-    old = os.environ.get("HIDACUR_THREADS")
-    os.environ["HIDACUR_THREADS"] = str(threads)
-    try:
+    with mock.patch.dict(os.environ, {"HIDACUR_THREADS": str(threads)}):
         t0 = time.perf_counter()
         record = run_experiment(kind, knobs)
         return time.perf_counter() - t0, record
-    finally:
-        if old is None:
-            os.environ.pop("HIDACUR_THREADS", None)
-        else:
-            os.environ["HIDACUR_THREADS"] = old
 
 
 def acceptance():

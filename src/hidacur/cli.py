@@ -10,7 +10,8 @@ JSON: a NaN or infinite value is written as null.
 Exit codes:
     0   success
     2   bad configuration (unreadable or non-strict JSON, bad kind or
-        values, a key or --seed that the kind does not take)
+        values, a key or --seed that the kind, an mc case or an inline
+        phi does not take, or a seed that is not an integer in [0, 2^64))
     3   numeric failure (budget exhausted, unstable derivative, or a
         requested check that did not meet its tolerance)
     4   evaluation at a nonexistent object (x = 0 with d > 1) requested as
@@ -93,10 +94,6 @@ def main(argv=None):
         print("hidacur: config must be a JSON object", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            print("hidacur: --seed must fit in an unsigned 64-bit integer",
-                  file=sys.stderr)
-            return EXIT_CONFIG
         knobs = dict(knobs, seed=args.seed)
 
     try:

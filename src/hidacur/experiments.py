@@ -1,7 +1,9 @@
 """Batch experiment runners shared by the CLI and the acceptance suite.
 
 A config's keys are its runner's keyword parameters, so Python refuses a
-key the runner does not take.  Each runner returns a JSON-able record with
+key the runner does not take, as it refuses a stray key of an mc case
+(_mc_case) or an inline phi (TestFunction).  Every seed, null included,
+passes montecarlo._check_seed.  Each runner returns a JSON-able record with
 outputs and error estimates, and a pass flag if it ran a check (a single
 stransform or mollified evaluation runs none); run_experiment echoes the
 inputs.  The default parameters reproduce the acceptance grid exactly.
@@ -18,7 +20,7 @@ from .chaos import (extract_chaos_pairing, first_chaos_pairing_closed,
                     second_chaos_pairing_closed)
 from .diagnostics import default_cutoffs, divergence_scan
 from .errors import NonexistenceError
-from .montecarlo import MCConfig, mc_s_transform
+from .montecarlo import MCConfig, _check_seed, mc_s_transform
 from .quad import integrate_singular
 from .schwartz import TestFunction
 from .special import singular_mass_closed
@@ -87,7 +89,7 @@ def _phi_from_config(obj):
     if isinstance(obj, str):  # file path holding TestFunction JSON
         with open(obj) as fh:
             return TestFunction.from_json(fh.read())
-    return TestFunction(obj["components"])
+    return TestFunction(**obj)
 
 
 def _random_phi(rng, d):
@@ -154,7 +156,7 @@ def run_mollified(x, T, phi, eps2, tol=1e-10):
 def run_existence(seed=20260201, tol=1e-8, n_nonzero=20, n_origin_d1=5):
     """Random sweep of the existence region plus the nonexistence wall
     (criterion 2)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     rows = []
     instances = [_random_instance(rng, 2.0) for _ in range(n_nonzero)]
     instances += [(1, np.zeros(1), _random_phi(rng, 1))
@@ -181,7 +183,7 @@ def run_existence(seed=20260201, tol=1e-8, n_nonzero=20, n_origin_d1=5):
 def _chaos_instances(seed, n_instances):
     """Yield (d, x, i, p, phi, F) per random instance: F is the
     U-functional of component i of the current at x, T = 1."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     for _ in range(n_instances):
         d, x, phi = _random_instance(rng, 1.5)
         i = int(rng.integers(0, d))
@@ -247,25 +249,28 @@ def run_second_chaos(seed=20260401, n_instances=50, atol=1e-6):
 _CASE_SEEDS = object()  # run_mc's default: every case keeps its own seed
 
 
+def _mc_case(n_paths, n_steps, d, x, eps2, seed):
+    """(MCConfig, phi) of one mc case: mc_acceptance_phi(d, eps2) at T = 1."""
+    cfg = MCConfig(d=d, T=1.0, x=x, n_paths=n_paths, n_steps=n_steps,
+                   eps2=eps2, seed=seed)
+    return cfg, mc_acceptance_phi(d, eps2)
+
+
 def run_mc(cases=MC_ACCEPTANCE_CASES, seed=_CASE_SEEDS, n_paths=200000,
            n_steps=4096, stderr_fraction=0.02):
-    """Monte Carlo vs the mollified closed form (criterion 5).  Each case
-    holds only d, x, eps2 and seed, and runs mc_acceptance_phi(d, eps2) at
-    T = 1.  A seed reseeds case k with (seed + k) mod 2^64.
+    """Monte Carlo vs the mollified closed form (criterion 5).  A case's
+    keys are _mc_case's d, x, eps2 and seed, and every case is read before
+    any runs.  A seed reseeds case k with (seed + k) mod 2^64.
     stderr_fraction bounds each stderr as a fraction of the closed-form
     magnitude; null disables that check (sensible for quick, small-N runs)."""
     if seed is not _CASE_SEEDS:
+        seed = _check_seed(seed)
         cases = [dict(c, seed=(seed + k) % 2 ** 64)
                  for k, c in enumerate(cases)]
-    unknown = {k for case in cases for k in case} - {"d", "x", "eps2", "seed"}
-    if unknown:
-        raise ValueError(f"unknown mc case keys {sorted(unknown)}")
+    runs = [_mc_case(n_paths, n_steps, **case) for case in cases]
     rows = []
-    for case in cases:
-        d, eps2 = case["d"], case["eps2"]
-        phi = mc_acceptance_phi(d, eps2)
-        cfg = MCConfig(d=d, T=1.0, x=tuple(case["x"]), n_paths=n_paths,
-                       n_steps=n_steps, eps2=eps2, seed=case["seed"])
+    for case, (cfg, phi) in zip(cases, runs):
+        d, eps2 = cfg.d, cfg.eps2
         est = mc_s_transform(cfg, phi)
         p = CurrentParams(case["x"], cfg.T)
         closed = s_current_mollified(p, phi, eps2, tol=1e-11)
@@ -309,7 +314,7 @@ def run_ubound(seed=20260701, n_samples=100,
                radii=tuple(np.geomspace(2.0, 12.0, 8)), angles_per_radius=16):
     """Growth-bound fits on the Donsker delta and the proof integrand
     (criterion 7): normalized C2 must not exceed the analytic 1/2."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     limit = 0.5 * (1.0 + 1e-6)
     rows = []
     for trial in range(n_samples):

@@ -50,6 +50,13 @@ DTYPE = np.float32
 CHUNK_PATHS = 32
 
 
+def _check_seed(seed):
+    """seed if it is an integer in [0, 2^64), else ValueError."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class MCConfig:
     d: int
@@ -73,10 +80,7 @@ class MCConfig:
             raise ValueError(f"x must be finite, got {list(x)}")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
-        if not (isinstance(self.seed, numbers.Integral)
-                and 0 <= self.seed < 2 ** 64):
-            raise ValueError(
-                f"seed must be an integer in [0, 2^64), got {self.seed!r}")
+        _check_seed(self.seed)
         if not 0.0 < self.eps2 < math.inf:
             raise ValueError(f"eps2 must be finite and > 0, got {self.eps2}")
         if not 0.0 < self.T < math.inf:

@@ -12,7 +12,6 @@ Component indices are 0-based throughout.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -61,14 +60,6 @@ def hermite_antiderivatives(n_max, t):
     """
     t = np.asarray(t, dtype=float)
     return _antiderivatives(hermite_values(n_max + 1, np.append(0.0, t)), t)
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n_nodes):
-    """Read-only Gauss-Legendre rule on [-1, 1], one eigenvalue solve per n."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
 
 
 def _antiderivatives(h, t):
@@ -162,7 +153,7 @@ class TestFunction:
         phi is a finite Hermite combination, so a few hundred nodes reach
         machine precision for any interval of moderate length.
         """
-        x, w = _gauss_legendre(n_nodes)
+        x, w = np.polynomial.legendre.leggauss(n_nodes)
         t = 0.5 * (a + b) + 0.5 * (b - a) * x
         vals = self.eval_all(t)
         return float(np.sqrt(0.5 * (b - a) * np.sum(vals ** 2 @ w)))

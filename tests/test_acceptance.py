@@ -9,6 +9,7 @@ shared with criterion 5 to avoid paying for the heavy grid three times.
 import json
 import os
 import time
+from unittest import mock
 
 import pytest
 
@@ -24,20 +25,12 @@ def load_config(name):
 
 def run_config(kind, name, env_threads=None):
     knobs = load_config(name)
-    old = os.environ.get("HIDACUR_THREADS")
-    if env_threads is not None:
-        os.environ["HIDACUR_THREADS"] = str(env_threads)
-    try:
+    env = {} if env_threads is None else {"HIDACUR_THREADS": str(env_threads)}
+    with mock.patch.dict(os.environ, env):
         t0 = time.perf_counter()
         record = run_experiment(kind, knobs)
         record["elapsed"] = time.perf_counter() - t0
         return record
-    finally:
-        if env_threads is not None:
-            if old is None:
-                os.environ.pop("HIDACUR_THREADS", None)
-            else:
-                os.environ["HIDACUR_THREADS"] = old
 
 
 def report(n, ok, detail):

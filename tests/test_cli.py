@@ -105,8 +105,11 @@ class TestExitCodes:
         ("diverge", {"d_values": [1], "cutoff": [1e-3]}, [], "cutoff"),
         ("gamma-check", {"d_values": [1], "r_values": [1.0],
                          "T_values": [1.0]}, ["--seed", "5"], "seed"),
+        ("stransform", {"x": [0.5, 0.5], "T": 1.0,
+                        "phi": {"components": [[1.0], [2.0]], "d": 1}},
+         [], "d"),
     ], ids=["stransform-eps2", "gamma-check-rtoll", "ubound-sed",
-            "diverge-cutoff", "gamma-check-seed"])
+            "diverge-cutoff", "gamma-check-seed", "stransform-inline-phi-d"])
     def test_key_the_kind_does_not_take_is_config_error(
             self, tmp_path, capsys, kind, knobs, argv, key):
         # a misspelt or misplaced key would otherwise run on its default
@@ -122,6 +125,32 @@ class TestExitCodes:
                                                 "n_instances": 2})
         assert main(["chaos", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"not {order}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, knobs, argv, shown", [
+        ("ubound", {"n_samples": 2, "seed": None}, [], "None"),
+        ("chaos", {"n_instances": 2, "seed": None}, [], "None"),
+        ("stransform", {"sweep": True, "n_nonzero": 2, "n_origin_d1": 1,
+                        "seed": None}, [], "None"),
+        ("ubound", {"n_samples": 2}, ["--seed", str(2 ** 64)], str(2 ** 64)),
+        ("ubound", {"n_samples": 2}, ["--seed", "-1"], "-1"),
+        ("mc", {"n_paths": 64, "n_steps": 16, "stderr_fraction": None},
+         ["--seed", str(2 ** 64)], str(2 ** 64)),
+        ("mc", {"n_paths": 64, "n_steps": 16, "stderr_fraction": None},
+         ["--seed", "-1"], "-1"),
+    ], ids=["ubound-null", "chaos-null", "stransform-sweep-null",
+            "ubound-2^64", "ubound-minus-1", "mc-2^64", "mc-minus-1"])
+    def test_seed_outside_u64_is_config_error(self, tmp_path, capsys, kind,
+                                              knobs, argv, shown):
+        # a null seed would draw from OS entropy, and no rerun would
+        # reproduce the record
+        cfg = write_config(tmp_path, "c.json", knobs)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path)]
+                    + argv) == 2
+        assert shown in capsys.readouterr().err
+
+    def test_runner_refuses_seed_outside_u64(self):
+        with pytest.raises(ValueError, match=str(2 ** 64)):
+            experiments.run_experiment("ubound", {"seed": 2 ** 64})
 
     def test_null_mc_seed_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -330,18 +359,25 @@ class TestRecords:
             "cases": [{"d": 1, "x": [0.5], "eps2": 0.05, "seed": -1}]})
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("key, value", [
-        ("phi", phi_ref([[1.0]])), ("T", 2.0), ("eps", 0.05)])
-    def test_mc_unknown_case_key_is_config_error(self, tmp_path, capsys, key,
-                                                 value):
+    @pytest.mark.parametrize("key, value, n_good", [
+        ("phi", phi_ref([[1.0]]), 0), ("T", 2.0, 0), ("eps", 0.05, 0),
+        ("eps", 0.05, 1)],
+        ids=["phi-value0", "T-2.0", "eps-0.05", "eps-0.05-in-second-case"])
+    def test_mc_unknown_case_key_is_config_error(self, tmp_path, capsys,
+                                                 monkeypatch, key, value,
+                                                 n_good):
         # a case runs the acceptance phi at T = 1; a key that would not take
-        # effect is refused, not ignored
-        case = {"d": 1, "x": [0.5], "eps2": 0.05, "seed": 7, key: value}
+        # effect is refused, not ignored, and before any case runs
+        def ran(*args, **kwargs):
+            raise AssertionError("an mc case ran")
+
+        monkeypatch.setattr(experiments, "mc_s_transform", ran)
+        good = {"d": 1, "x": [0.5], "eps2": 0.05, "seed": 7}
         cfg = write_config(tmp_path, "c.json", {
             "n_paths": 64, "n_steps": 16, "stderr_fraction": None,
-            "cases": [case]})
+            "cases": [good] * n_good + [dict(good, **{key: value})]})
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert f"unknown mc case keys ['{key}']" in capsys.readouterr().err
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_mc_explicit_cases_keep_their_seeds(self, tmp_path):
         from hidacur.experiments import mc_acceptance_phi

@@ -93,24 +93,6 @@ class TestL2Norm:
         assert phi.l2_norm_on_interval(0.0, 1.0) == pytest.approx(
             np.sqrt(val), rel=1e-10)
 
-    def test_interval_norm_builds_its_rule_once(self, monkeypatch):
-        # the 256-node rule is an eigenvalue solve; two calls share one
-        calls = []
-        leggauss = np.polynomial.legendre.leggauss
-
-        def counting(n):
-            calls.append(n)
-            return leggauss(n)
-
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        schwartz._gauss_legendre.cache_clear()
-        phi = TestFunction([[0.5, 0.2]])
-        first = phi.l2_norm_on_interval(0.0, 1.0)
-        assert phi.l2_norm_on_interval(0.0, 1.0) == first
-        assert calls == [256]
-        x, w = schwartz._gauss_legendre(256)
-        assert not x.flags.writeable and not w.flags.writeable
-
 
 class TestSupNorm:
     def test_zero(self):
