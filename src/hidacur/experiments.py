@@ -2,11 +2,12 @@
 
 A config's keys are its runner's keyword parameters, so Python refuses a
 key the runner does not take, as it refuses a stray key of an mc case
-(_mc_case) or an inline phi (TestFunction).  Every seed, null included,
-passes montecarlo._check_seed.  Each runner returns a JSON-able record with
-outputs and error estimates, and a pass flag if it ran a check (a single
-stransform or mollified evaluation runs none); run_experiment echoes the
-inputs.  The default parameters reproduce the acceptance grid exactly.
+(_mc_case) or an inline phi (TestFunction); from_json refuses one in a phi
+file.  Every seed, null and true included, passes montecarlo._check_seed.
+Each runner returns a JSON-able record with outputs and error estimates,
+and a pass flag if it ran a check (a single stransform or mollified
+evaluation runs none); run_experiment echoes the inputs.  The default
+parameters reproduce the acceptance grid exactly.
 """
 
 from __future__ import annotations

@@ -205,6 +205,9 @@ class TestFunction:
     @classmethod
     def from_json(cls, s):
         obj = json.loads(s)
+        stray = sorted(set(obj) - {"d", "components"})
+        if stray:
+            raise ValueError(f"unknown test function keys {stray}")
         comps = obj["components"]
         if len(comps) != obj["d"]:
             raise ValueError("component count does not match d")

@@ -88,6 +88,16 @@ class TestExitCodes:
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "n_steps must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["n_paths", "n_steps"])
+    def test_boolean_count_names_the_field(self, tmp_path, capsys, field):
+        # JSON true is a Python bool, an Integral, and would run as 1
+        cfg = write_config(tmp_path, "c.json", {
+            "n_paths": 64, "n_steps": 16, "stderr_fraction": None,
+            field: True})
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"{field} must be an integer, got True" in (
+            capsys.readouterr().err)
+
     def test_bad_seed_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"T": 1.0})
         assert main(["diverge", "--config", cfg, "--seed", str(2 ** 64)]) == 2
@@ -137,12 +147,14 @@ class TestExitCodes:
          ["--seed", str(2 ** 64)], str(2 ** 64)),
         ("mc", {"n_paths": 64, "n_steps": 16, "stderr_fraction": None},
          ["--seed", "-1"], "-1"),
+        ("ubound", {"n_samples": 2, "seed": True}, [], "True"),
     ], ids=["ubound-null", "chaos-null", "stransform-sweep-null",
-            "ubound-2^64", "ubound-minus-1", "mc-2^64", "mc-minus-1"])
+            "ubound-2^64", "ubound-minus-1", "mc-2^64", "mc-minus-1",
+            "ubound-true"])
     def test_seed_outside_u64_is_config_error(self, tmp_path, capsys, kind,
                                               knobs, argv, shown):
         # a null seed would draw from OS entropy, and no rerun would
-        # reproduce the record
+        # reproduce the record; JSON true would run as seed 1
         cfg = write_config(tmp_path, "c.json", knobs)
         assert main([kind, "--config", cfg, "--out", str(tmp_path)]
                     + argv) == 2
@@ -315,6 +327,18 @@ class TestRecords:
                      "--out", str(tmp_path)]) == 0
         rec = json.loads((tmp_path / "stransform.json").read_text())
         assert rec["value"][0] > 0.0
+
+    def test_phi_file_stray_key_is_config_error(self, tmp_path, capsys):
+        # a key the file format does not have would otherwise be ignored:
+        # "scale" ran unscaled
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps({"d": 1, "components": [[1.0]],
+                                        "scale": 2.0}))
+        cfg = write_config(tmp_path, "c.json", {
+            "x": [0.5], "T": 1.0, "phi": str(phi_path)})
+        assert main(["stransform", "--config", cfg,
+                     "--out", str(tmp_path)]) == 2
+        assert "'scale'" in capsys.readouterr().err
 
     def test_idempotent_modulo_wall_time(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"seed": 3, "n_samples": 4})

@@ -28,6 +28,28 @@ def zero_grid(cfg):
     return np.zeros((cfg.d, cfg.n_steps))
 
 
+def direct_formula(cfg, inc, phi_grid, eps2):
+    """(g, f) of each drawn path (row 0) and its mirror -dB (row 1), shape
+    (2, 2, paths, d), written out step by step in float64, and the lowest
+    log-density met: f = sum_k p_eps2(x - c(t_k) - B(t_k)) dB(t_k) and
+    g = f + sum_k p_eps2(...) phi(t_k) dt."""
+    x = np.asarray(cfg.x)
+    dt = cfg.T / cfg.n_steps
+    norm = (2 * np.pi * eps2) ** (-cfg.d / 2)
+    steps = np.stack([inc, -inc]).astype(np.float64)  # (2, paths, M, d)
+    expected = np.zeros((2,) + steps[:, :, 0].shape)
+    b = np.zeros(steps[:, :, 0].shape)  # B(t_k) + c(t_k)
+    lowest = np.inf
+    for k in range(cfg.n_steps):
+        expo = -np.sum((x - b) ** 2, axis=-1, keepdims=True) / (2 * eps2)
+        lowest = min(lowest, math.log(norm) + expo.min())
+        dens, drift = norm * np.exp(expo), phi_grid[:, k] * dt
+        expected[0] += dens * (steps[:, :, k] + drift)
+        expected[1] += dens * steps[:, :, k]
+        b += steps[:, :, k] + drift
+    return expected, lowest
+
+
 def all_increments(cfg):
     """Every block's drawn increments, concatenated along the path axis."""
     return np.concatenate([simulate_increments(cfg, b)
@@ -139,47 +161,27 @@ class TestMollifiedCurrentSample:
         assert np.all(np.abs(sample) < 1e-30)
 
     def test_matches_direct_formula(self):
-        # f = sum_k p_eps2(x - c(t_k) - B(t_k)) dB(t_k) and g = f + sum_k
-        # p_eps2(...) phi(t_k) dt, written out step by step in float64, for
-        # each drawn path (row 0) and its mirror -dB (row 1), unshifted
-        # (phi = 0) and shifted; 40 drawn paths fill one kernel chunk and
-        # part of a second, and the kernel's buffers follow the dtype of the
-        # increments
+        # the kernel against direct_formula for each drawn path and its
+        # mirror, unshifted (phi = 0) and shifted; 40 drawn paths fill one
+        # kernel chunk and part of a second, and the kernel's buffers follow
+        # the dtype of the increments
         cfg = MCConfig(d=2, T=1.0, x=(0.3, -0.2), n_paths=80, n_steps=64,
                        eps2=0.05, seed=7)
         inc = simulate_increments(cfg, 0).astype(np.float64)
         assert len(inc) == 40
-        x = np.asarray(cfg.x)
-        dt = cfg.T / cfg.n_steps
         zero = zero_grid(cfg)
         shift = TestFunction([[0.5, -0.2], [0.3]]).eval_all(
-            np.arange(cfg.n_steps) * dt)
+            np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
 
-        def direct(eps2, phi_grid):
-            norm = (2 * np.pi * eps2) ** (-cfg.d / 2)
-            expected = np.zeros((2, 2, len(inc), cfg.d))  # g, f
-            lowest = np.inf         # the lowest log-density met
-            for row, steps in enumerate((inc, -inc)):
-                for p in range(len(inc)):
-                    b = np.zeros(cfg.d)  # B(t_k) + c(t_k)
-                    for k in range(cfg.n_steps):
-                        expo = -np.sum((x - b) ** 2) / (2 * eps2)
-                        lowest = min(lowest, math.log(norm) + expo)
-                        dens, drift = norm * np.exp(expo), phi_grid[:, k] * dt
-                        expected[0, row, p] += dens * (steps[p, k] + drift)
-                        expected[1, row, p] += dens * steps[p, k]
-                        b = b + steps[p, k] + drift
-            return expected, lowest
-
-        expected, _ = direct(cfg.eps2, zero)
-        shifted, _ = direct(cfg.eps2, shift)
+        expected, _ = direct_formula(cfg, inc, zero, cfg.eps2)
+        shifted, _ = direct_formula(cfg, inc, shift, cfg.eps2)
         for layout in (inc, np.ascontiguousarray(inc)):
             for grid, ref in [(zero, expected), (shift, shifted)]:
                 assert np.allclose(mollified_current_sample(cfg, layout, grid),
                                    ref, rtol=1e-12, atol=1e-14)
         # at eps2 = 0.01 some log-densities fall below the kernel's floor of
         # -72 and below float32's smallest normal exp, about -87
-        narrow, lowest = direct(0.01, zero)
+        narrow, lowest = direct_formula(cfg, inc, zero, 0.01)
         assert lowest < -87.0
         for eps2, grid, ref in [(cfg.eps2, zero, expected),
                                 (0.01, zero, narrow),
@@ -194,22 +196,80 @@ class TestMollifiedCurrentSample:
                     assert np.allclose(part[row], ref_part[row], rtol=1e-4,
                                        atol=1e-5 * np.abs(ref_part[row]).max())
 
+    @pytest.mark.parametrize("d, n_paths, n_steps", [
+        (2, 80, 1), (2, 80, 15), (2, 80, 17), (2, 80, 4097), (1, 69, 100),
+        (3, 80, 64)],
+        ids=["steps-1", "steps-15", "steps-17", "steps-4097",
+             "odd-paths-partial-chunk", "d-3"])
+    def test_blocked_scan_matches_direct_formula(self, d, n_paths, n_steps):
+        # the prefix sum runs in 16-step blocks: step counts that leave a
+        # partial block (or only one), 35 drawn paths that leave a chunk of
+        # 3, and three components, each against direct_formula at
+        # test_matches_direct_formula's tolerances
+        x = (0.3, -0.2, 0.1)[:d]
+        cfg = MCConfig(d=d, T=1.0, x=x, n_paths=n_paths, n_steps=n_steps,
+                       eps2=0.05, seed=7)
+        inc = simulate_increments(cfg, 0).astype(np.float64)
+        shift = TestFunction([[0.5, -0.2], [0.3], [-0.4, 0.1]][:d]).eval_all(
+            np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
+        for grid in (zero_grid(cfg), shift):
+            ref, _ = direct_formula(cfg, inc, grid, cfg.eps2)
+            assert np.allclose(mollified_current_sample(cfg, inc, grid), ref,
+                               rtol=1e-12, atol=1e-14)
+            sample32 = mollified_current_sample(cfg, inc.astype(np.float32),
+                                                grid)
+            for part, ref_part in zip(sample32, ref):
+                assert part.shape == (2, len(inc), d)
+                for row in range(2):
+                    assert np.allclose(part[row], ref_part[row], rtol=1e-4,
+                                       atol=1e-5 * np.abs(ref_part[row]).max())
+
+    @pytest.mark.parametrize("case", range(len(MC_ACCEPTANCE_CASES)))
+    def test_float32_scan_matches_float64_at_4096_steps(self, case):
+        # criterion 5's cases at its 4,096 steps, 32 drawn paths: the
+        # float32 kernel against the same increments in float64, within
+        # 32 float32 epsilons of the largest sample (a serial float32
+        # prefix sum over 4,096 steps is off by 12 to 68 of them here)
+        c = MC_ACCEPTANCE_CASES[case]
+        cfg = MCConfig(d=c["d"], T=1.0, x=tuple(c["x"]), n_paths=64,
+                       n_steps=4096, eps2=c["eps2"], seed=c["seed"])
+        inc = simulate_increments(cfg, 0)
+        grid = mc_acceptance_phi(cfg.d, cfg.eps2).eval_all(
+            np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
+        tol = 32 * np.finfo(np.float32).eps
+        for part, ref in zip(
+                mollified_current_sample(cfg, inc, grid),
+                mollified_current_sample(cfg, inc.astype(np.float64), grid)):
+            assert np.abs(part - ref).max() <= tol * np.abs(ref).max()
+
     def test_zero_phi_is_the_unshifted_current_bit_for_bit(self):
         # at phi = 0 the centre x_j - c_j(t_k) is x_j, so g == f == the
         # unshifted float32 Ito sums, written out here with the scalar x_j in
-        # the kernel's order of operations over one chunk (32 drawn paths)
+        # the kernel's order of operations over one chunk (32 drawn paths):
+        # B_j and x_j scaled by 1/sqrt(2 eps2), B_j from a blocked scan
         cfg = MCConfig(d=2, T=1.0, x=(0.3, -0.2), n_paths=64, n_steps=64,
                        eps2=0.05, seed=7)
         inc = simulate_increments(cfg, 0)
         g, f = mollified_current_sample(cfg, inc, zero_grid(cfg))
-        b = np.zeros((32, 64, 2), dtype=np.float32)
-        np.cumsum(inc[:, :-1], axis=1, out=b[:, 1:])
-        q = np.stack([(b + sign * np.float32(cfg.x)) ** 2 for sign in (-1, 1)])
-        q = q[..., 0] + q[..., 1]
-        q *= -0.5 / cfg.eps2
-        q += -math.log(2.0 * math.pi * cfg.eps2)
+        # 64 steps are 4 blocks of 16: column 0 of each block's row holds
+        # its offset, the scaled sum of the blocks before it, and one
+        # stacked product adds the increments before each step
+        scale = 1.0 / math.sqrt(2.0 * cfg.eps2)
+        scan = np.zeros((17, 16), dtype=np.float32)
+        scan[0] = 1.0
+        scan[1:] = np.triu(np.full((16, 16), scale), k=1)
+        q = np.zeros((2, 32, 64), dtype=np.float32)
+        for j in range(2):
+            buf = np.zeros((32, 4, 17), dtype=np.float32)
+            buf[:, :, 1:] = inc[:, :, j].reshape(32, 4, 16)
+            totals = buf[:, :, 1:] @ np.full(16, scale, dtype=np.float32)
+            buf[:, 1:, 0] = np.cumsum(totals[:, :-1], axis=1)
+            b = (buf @ scan).reshape(32, 64)
+            for r, sign in enumerate((-1.0, 1.0)):
+                q[r] += (b + sign * np.float32(cfg.x[j] * scale)) ** 2
+        q = -math.log(2.0 * math.pi * cfg.eps2) - q
         dens = np.exp(np.maximum(q, -72.0))
-        old = np.array([[np.einsum("pm,pm->p", dens[r], inc[:, :, j])
+        old = np.array([[np.vecdot(dens[r], inc[:, :, j])
                          for j in range(2)] for r in range(2)])
         old[1] *= -1.0
         old = old.transpose(0, 2, 1)
@@ -465,18 +525,20 @@ class TestSerialization:
         with pytest.raises(ValueError):
             small_cfg(eps2=0.0)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, 7.0])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, 7.0, True])
     def test_seed_not_a_u64_rejected(self, seed):
         # a float seed would be truncated into the key: 1.5 would draw the
-        # paths of seed 1
+        # paths of seed 1, and JSON true those of seed 1
         with pytest.raises(ValueError, match="seed"):
             small_cfg(seed=seed)
 
     @pytest.mark.parametrize("field,value", [
-        ("d", 1.0), ("n_paths", 2048.0), ("n_steps", 64.5), ("n_steps", "64")])
+        ("d", 1.0), ("n_paths", 2048.0), ("n_steps", 64.5), ("n_steps", "64"),
+        ("n_paths", True), ("d", True)])
     def test_count_not_an_integer_rejected(self, field, value):
         # 2048.0 paths ran and wrote a float into the estimate body; 64.5
-        # steps failed later with a TypeError that named no field
+        # steps failed later with a TypeError that named no field; JSON true
+        # ran as 1
         with pytest.raises(ValueError, match=field):
             small_cfg(**{field: value})
 

@@ -269,6 +269,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             TestFunction.from_json(bad)
 
+    def test_unknown_key_rejected(self):
+        bad = json.dumps({"d": 1, "components": [[1.0]], "scale": 2.0})
+        with pytest.raises(ValueError, match="'scale'"):
+            TestFunction.from_json(bad)
+
     def test_invalid_coefficients_rejected(self):
         with pytest.raises(ValueError):
             TestFunction([[np.nan]])
