@@ -11,10 +11,16 @@ holds:
   * "quad_nodes": the nodes of one s_current call at x = (r, 0, ...),
     phi = [[1.0, 0.3]] * d, T = 1 and tol 1e-8, for d in {2, 3} and r from
     1e-1 down to 1e-12, where the current blows up at the origin;
+  * "closed_form_layers": on d in {1, 2, 3}, x = (0.8, 0, ...), T = 1 and
+    the 5-mode phi LAYER_PHI in every component, the us per call of
+    hermite_values(6, .) and of eval_and_cumulative on 144 nodes in (0, 1],
+    and of s_current and s_current_mollified (eps2 0.01) at tol 1e-8, each
+    with its node count: median and quartiles of 15 interleaved repeats,
+    each the mean of a batch of calls;
   * "mc_block": for each of criterion 5's four cases, one 1,024-path block
-    at 4,096 steps: the normals drawn and the best-of-5 ms of
-    simulate_increments, mollified_current_sample and the whole
-    _block_moments, at one thread;
+    at 4,096 steps: the normals drawn and the median and quartiles, over 7
+    interleaved repeats, of the ms of simulate_increments,
+    mollified_current_sample and the whole _block_moments, at one thread;
   * "perfbench": the last JSON line of perfbench/run.py --seed 1 for each
     workload, run for BENCHMARK.json's run_seconds;
   * "acceptance": per criterion 1-8, the wall time of its config at
@@ -27,9 +33,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -42,13 +48,17 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from hidacur import CurrentParams, TestFunction, s_current  # noqa: E402
+from hidacur import (CurrentParams, TestFunction, s_current,  # noqa: E402
+                     s_current_mollified)
 from hidacur import montecarlo  # noqa: E402
 from hidacur.experiments import (MC_ACCEPTANCE_CASES,  # noqa: E402
                                  mc_acceptance_phi, run_experiment)
+from hidacur.schwartz import hermite_values  # noqa: E402
 
 WORKLOADS = ("closed-form", "chaos-growth", "mc-grid")
 SEED = 1
+# the closed-form layer rows' phi, the same 5 modes in every component
+LAYER_PHI = [0.6, -0.3, 0.25, 0.15, -0.1]
 # criterion: (kind, config, time gate in s of tests/test_acceptance.py)
 CRITERIA = {
     1: ("gamma-check", "01_gamma_check.json", 5.0),
@@ -83,16 +93,54 @@ def quad_nodes():
     return {"T": 1.0, "tol": 1e-8, "rows": rows}
 
 
-def best_ms(fn, repeats=5):
-    best = math.inf
+def quartiles(samples, scale, digits=3):
+    """{p25, p50, p75} of samples times scale, each rounded to digits."""
+    q1, q2, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"p25": round(q1 * scale, digits), "p50": round(q2 * scale, digits),
+            "p75": round(q3 * scale, digits)}
+
+
+def interleaved(fns, repeats, batch=1):
+    """Seconds per call of each of fns, one batch of calls per fn in turn,
+    repeats times over: a list of repeats samples per fn."""
+    samples = [[] for _ in fns]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return round(best * 1e3, 3)
+        for fn, out in zip(fns, samples):
+            t0 = time.perf_counter()
+            for _ in range(batch):
+                fn()
+            out.append((time.perf_counter() - t0) / batch)
+    return samples
 
 
-def mc_block():
+def closed_form_layers(repeats=15, batch=20):
+    t = (np.arange(144) + 0.5) / 144.0
+    rows = [{"layer": "hermite_values", "d": None, "nodes": t.size,
+             "fn": lambda: hermite_values(6, t)}]
+    for d in (1, 2, 3):
+        phi = TestFunction([LAYER_PHI] * d)
+        p = CurrentParams([0.8] + [0.0] * (d - 1), 1.0)
+        _, (res,) = s_current(p, phi, tol=1e-8, full_output=True)
+        _, (mres,) = s_current_mollified(p, phi, 0.01, tol=1e-8,
+                                         full_output=True)
+        rows += [
+            {"layer": "eval_and_cumulative", "d": d, "nodes": t.size,
+             "fn": lambda phi=phi: phi.eval_and_cumulative(t)},
+            {"layer": "s_current", "d": d, "nodes": res.node_count,
+             "fn": lambda p=p, phi=phi: s_current(p, phi, tol=1e-8)},
+            {"layer": "s_current_mollified", "d": d, "nodes": mres.node_count,
+             "fn": lambda p=p, phi=phi: s_current_mollified(p, phi, 0.01,
+                                                           tol=1e-8)},
+        ]
+    samples = interleaved([row.pop("fn") for row in rows], repeats, batch)
+    for row, sample in zip(rows, samples):
+        row["us"] = quartiles(sample, 1e6, 2)
+    return {"x_norm": 0.8, "T": 1.0, "tol": 1e-8, "eps2": 0.01,
+            "phi": LAYER_PHI, "repeats": repeats, "batch": batch,
+            "rows": rows}
+
+
+def mc_block(repeats=7):
     rows = []
     for case in MC_ACCEPTANCE_CASES:
         d = case["d"]
@@ -102,15 +150,15 @@ def mc_block():
         phi = mc_acceptance_phi(d, case["eps2"])
         phi_grid = phi.eval_all(np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
         inc = montecarlo.simulate_increments(cfg, 0)
+        rng, kernel, block = interleaved([
+            lambda: montecarlo.simulate_increments(cfg, 0),
+            lambda: montecarlo.mollified_current_sample(cfg, inc, phi_grid),
+            lambda: montecarlo._block_moments(cfg, phi_grid, 0)], repeats)
         rows.append({
             "d": d, "eps2": case["eps2"], "paths": cfg.n_paths,
             "n_steps": cfg.n_steps, "normals": inc.size,
-            "rng_ms": best_ms(lambda: montecarlo.simulate_increments(cfg, 0)),
-            "kernel_ms": best_ms(
-                lambda: montecarlo.mollified_current_sample(cfg, inc,
-                                                            phi_grid)),
-            "block_ms": best_ms(
-                lambda: montecarlo._block_moments(cfg, phi_grid, 0)),
+            "rng_ms": quartiles(rng, 1e3), "kernel_ms": quartiles(kernel, 1e3),
+            "block_ms": quartiles(block, 1e3),
         })
     return rows
 
@@ -165,6 +213,7 @@ def main(argv=None):
         "machine": machine_record(),
         "src_lines": src_lines(),
         "quad_nodes": quad_nodes(),
+        "closed_form_layers": closed_form_layers(),
         "mc_block": mc_block(),
         "perfbench": bench,
         "acceptance": acceptance(),

@@ -151,11 +151,13 @@ def simulate_increments(cfg, block):
     spawn_key=(block,)): keyed, not advanced, so a block never depends on
     scheduling, and about half Philox's cost per 64-bit word.  It is read in
     chunks of ``CHUNK_PATHS`` paths.  Each 32-bit half of a raw 64-bit word
-    gives a midpoint uniform u = (k + 1/2) 2^-24 from its top 24 bits k,
-    strictly inside (0, 1).  A vectorised Box-Muller transform pairs a
-    radius uniform u1 from the first half of a chunk's words with an angle
-    uniform u2 from the second half and returns sqrt(-2 ln u1) cos(2 pi u2) and
-    sqrt(-2 ln u1) sin(2 pi u2).  Since u1 >= 2^-25, no draw exceeds
+    gives a midpoint uniform u = (k + 1/2) 2^-24 from its top 24 bits k, in
+    (0, 1]: in float32, k + 1/2 rounds to an even integer for k >= 2^23, so
+    k = 2^24 - 1 gives u = 1 exactly.  A vectorised Box-Muller transform
+    pairs a radius uniform u1 from the first half of a chunk's words with an
+    angle uniform u2 from the second half and returns sqrt(-2 ln u1)
+    cos(2 pi u2) and sqrt(-2 ln u1) sin(2 pi u2); u1 = 1 gives radius 0 and
+    a draw of exactly 0.  Since u1 >= 2^-25, no draw exceeds
     sqrt(50 ln 2) ~ 5.9 standard deviations, which a true normal does with
     probability ~4e-9.
 

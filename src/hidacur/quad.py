@@ -23,6 +23,12 @@ does not depend on that order.  The integrand is never evaluated at t = 0.
 A result always carries a summed error estimate <= tol; otherwise
 QuadratureBudgetError is raised with the sum accepted so far.
 
+Non-finite integrand values are caught on the panel errors: a NaN or inf
+among a panel's 48 values makes that panel's error non-finite, and only
+then are the sweep's values scanned, so IntegrandFailureError names the
+first bad panel (numpy may warn of an inf - inf on the way).  Finite values
+whose Gauss sums overflow are no failure: such a panel is refined.
+
 Integrands must accept a 1-d numpy array of nodes, which holds the nodes of
 many panels in no particular order; complex-valued integrands are supported
 (needed for S-transforms at complex scaling).  A vector integrand returns
@@ -32,6 +38,7 @@ uses the worst row, and value and error are (k,) arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,27 +114,36 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None):
     a, b = np.array(edges[:-1]), np.array(edges[1:])
     total = err_total = 0.0
     nodes = 0
-    while a.size:
+    while True:
         if nodes + _X.size * a.size > NODE_BUDGET:
             raise QuadratureBudgetError(
                 f"node budget {NODE_BUDGET} exhausted", best_estimate=total)
         nodes += _X.size * a.size
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        width = b - a
+        mid, half = 0.5 * (a + b), 0.5 * width
         fx = np.asarray(g((mid[:, None] + half[:, None] * _X).ravel()))
         # (k, panels, 48) for a vector integrand, (panels, 48) for a scalar
         fx = fx.reshape(fx.shape[:-1] + (a.size, _X.size))
-        if not np.all(np.isfinite(fx)):
-            j = np.nonzero(~np.isfinite(fx))[-2].min()
-            raise IntegrandFailureError(
-                f"integrand returned NaN/inf on [{a[j]}, {b[j]}]")
         val = half * (fx[..., 16:] @ _W32)
         err = abs(val - half * (fx[..., :16] @ _W16))
-        done = (err.reshape(-1, a.size).max(axis=0)
-                <= np.maximum(tol * (b - a) / U, tol / _FLOOR)) \
-            | ~((a < mid) & (mid < b))
+        # each panel's worst row, non-finite when any of its 48 values is
+        panel_err = err if err.ndim == 1 \
+            else err.reshape(-1, a.size).max(axis=0)
+        if not math.isfinite(panel_err.sum()):
+            bad = ~np.isfinite(fx)
+            if bad.any():
+                j = np.nonzero(bad)[-2].min()
+                raise IntegrandFailureError(
+                    f"integrand returned NaN/inf on [{a[j]}, {b[j]}]")
+        done = panel_err <= np.maximum(tol * width / U, tol / _FLOOR)
+        if not done.all():  # or floating point cannot split it
+            done |= ~((a < mid) & (mid < b))
         total = total + val[..., done].sum(axis=-1)
         err_total = err_total + err[..., done].sum(axis=-1)
-        a, mid, b = a[~done], mid[~done], b[~done]
+        keep = ~done
+        if not keep.any():
+            break
+        a, mid, b = a[keep], mid[keep], b[keep]
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
     worst = np.max(err_total)
     if worst > tol:

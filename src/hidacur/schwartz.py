@@ -12,6 +12,7 @@ Component indices are 0-based throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,18 +34,48 @@ def hermite_values(n_max, t):
 
     Uses the stable three-term recurrence on the *normalized* Hermite
     functions (Gaussian factor kept inside), so no overflow for moderate k.
+    Each row is built in its place in the table from the two above it.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty((n_max,) + t.shape)
-    h_prev = np.zeros_like(t)
-    h = _PI4 * np.exp(-0.5 * t * t)
+    if n_max:
+        out[0] = _PI4 * np.exp(-0.5 * t * t)
     # math.sqrt on the Python-float constants: same value, a fraction of
     # numpy's per-scalar cost
-    for k in range(n_max):
-        out[k] = h
-        h_next = math.sqrt(2.0 / (k + 1)) * t * h - math.sqrt(k / (k + 1.0)) * h_prev
-        h_prev, h = h, h_next
+    for k in range(n_max - 1):
+        out[k + 1] = math.sqrt(2.0 / (k + 1)) * t * out[k]
+        if k:
+            out[k + 1] -= math.sqrt(k / (k + 1.0)) * out[k - 1]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _primitive_matrix(n):
+    """(Aa, h0) with I(t) = Aa[:, :n] @ (h(t) - h0) + Aa[:, n] I_0(t) for
+    the first n modes: the recurrence of hermite_antiderivatives run once on
+    unit inputs, its first n columns the strictly lower-triangular A and its
+    last the vector a; h0 = h(0) as an (n, 1) column.  Read-only."""
+    Aa = np.zeros((n, n + 1))
+    Aa[:1, n] = 1.0
+    for k in range(n - 1):
+        Aa[k + 1] = math.sqrt(k / 2.0) * (Aa[k - 1] if k else 0.0)
+        Aa[k + 1, k] -= 1.0
+        Aa[k + 1] /= math.sqrt((k + 1) / 2.0)
+    h0 = hermite_values(n, 0.0)[:, None]
+    Aa.flags.writeable = h0.flags.writeable = False
+    return Aa, h0
+
+
+def _primitive(coef, h, t):
+    """coef @ I(t), shape (len(coef),) + shape(t), from the table
+    h = hermite_values(len(h), t), which it overwrites with h - h(0)."""
+    Aa, h0 = _primitive_matrix(len(h))
+    diff = h.reshape(len(h), t.size)
+    diff -= h0  # before the product: see hermite_antiderivatives
+    ca = coef @ Aa  # phi's coefficients carried through the recurrence
+    i0 = np.pi ** 0.25 / math.sqrt(2.0) * erf(t.ravel() / math.sqrt(2.0))
+    out = ca[:, :-1] @ diff + ca[:, -1:] * i0
+    return out.reshape((-1,) + t.shape)
 
 
 def hermite_antiderivatives(n_max, t):
@@ -55,24 +86,17 @@ def hermite_antiderivatives(n_max, t):
 
         I_{k+1} = (sqrt(k/2) I_{k-1} - (h_k(t) - h_k(0))) / sqrt((k+1)/2),
 
-    seeded with I_0(t) = pi^{1/4} erf(t/sqrt(2)) / sqrt(2).  Exact up to
-    rounding; accurate to ~1e-14 for the coefficient counts used here.
+    seeded with I_0(t) = pi^{1/4} erf(t/sqrt(2)) / sqrt(2).  The recurrence
+    is linear, so I = A @ (h(t) - h(0)) + a I_0(t) with a lower-triangular
+    A and a vector a unrolled once per n_max and cached.  h(0) is
+    subtracted elementwise before the product: as t -> 0 every I_k(t) is
+    O(t), and A @ h(t) - A @ h(0) would cancel away the relative accuracy
+    of c(t) = int_0^t phi that the current kernel's (x - c(t)) / t needs
+    near the origin.  Exact up to rounding; within ~3e-16 absolute of
+    mpmath for up to 40 modes and t up to 25.
     """
     t = np.asarray(t, dtype=float)
-    return _antiderivatives(hermite_values(n_max + 1, np.append(0.0, t)), t)
-
-
-def _antiderivatives(h, t):
-    """I_k(t) for k = 0..len(h)-2, read off the table
-    h = hermite_values(len(h), [0, *t.ravel()]); shape (len(h)-1,) + shape(t)."""
-    n_max = len(h) - 1
-    dh = (h[:-1, 1:] - h[:-1, :1]).reshape((n_max,) + t.shape)  # h_k(t) - h_k(0)
-    out = np.empty_like(dh)
-    out[:1] = np.pi ** 0.25 / np.sqrt(2.0) * erf(t / np.sqrt(2.0))
-    for k in range(n_max - 1):
-        prev = out[k - 1] if k >= 1 else 0.0
-        out[k + 1] = (math.sqrt(k / 2.0) * prev - dh[k]) / math.sqrt((k + 1) / 2.0)
-    return out
+    return _primitive(np.eye(n_max), hermite_values(n_max, t), t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,15 +157,15 @@ class TestFunction:
 
     def cumulative_all(self, t):
         """All components, shape (d,) + shape(t)."""
-        return self._contract(hermite_antiderivatives(self.n_basis, t))
+        t = np.asarray(t, dtype=float)
+        return _primitive(self._coef, hermite_values(self.n_basis, t), t)
 
     def eval_and_cumulative(self, t):
         """(phi(t), c(t)) with c(t) = int_0^t phi, each shape (d,) + shape(t),
-        from one Hermite table at the nodes [0, *t]."""
+        from one Hermite table at the nodes t."""
         t = np.asarray(t, dtype=float)
-        h = hermite_values(self.n_basis + 1, np.append(0.0, t))
-        vals = self._contract(h[:-1, 1:]).reshape((-1,) + t.shape)
-        return vals, self._contract(_antiderivatives(h, t))
+        h = hermite_values(self.n_basis, t)
+        return self._contract(h), _primitive(self._coef, h, t)
 
     def l2_norm(self):
         """L^2(R, R^d) norm; exact by Parseval in the orthonormal basis."""

@@ -37,6 +37,7 @@ import numpy as np
 
 from .diagnostics import _lstsq_1d
 from .errors import IntegrandFailureError, NonexistenceError
+from .montecarlo import _is_int
 from .quad import QuadResult, integrate_singular
 from .special import singular_mass_closed
 
@@ -272,10 +273,14 @@ def fit_ufunctional_bound(F, phi, radii, angles_per_radius=16):
     the quadratic growth coefficient with tail-emphasizing weights r^2 (0
     from a single radius), then inflates C1 so every sample satisfies the
     bound (the definition demands a majorant, not a best fit).
+    angles_per_radius must be an integer >= 1, and not a bool.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or not np.all((0.0 < radii) & (radii < np.inf)):
         raise ValueError("radii must be nonempty, finite and positive")
+    if not (_is_int(angles_per_radius) and angles_per_radius >= 1):
+        raise ValueError("angles_per_radius must be an integer >= 1, "
+                         f"got {angles_per_radius!r}")
     nrm2 = phi.combined_norm() ** 2
     thetas = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
     z = (radii[:, None] * np.exp(1j * thetas)).ravel()

@@ -98,6 +98,17 @@ class TestExitCodes:
         assert f"{field} must be an integer, got True" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("angles", [2.5, True, 0],
+                             ids=["ubound-angles-2.5", "ubound-angles-true",
+                                  "ubound-angles-0"])
+    def test_bad_angle_count_names_the_value(self, tmp_path, capsys, angles):
+        # 2.5 and true ran and passed, 0 died in numpy's reduction
+        cfg = write_config(tmp_path, "c.json", {
+            "n_samples": 2, "angles_per_radius": angles})
+        assert main(["ubound", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"angles_per_radius must be an integer >= 1, got {angles!r}" \
+            in capsys.readouterr().err
+
     def test_bad_seed_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"T": 1.0})
         assert main(["diverge", "--config", cfg, "--seed", str(2 ** 64)]) == 2

@@ -107,6 +107,25 @@ class TestIncrements:
         assert z[0] == pytest.approx(math.sqrt(50 * math.log(2)), rel=1e-6)
         assert stats.norm.sf(z[0]) * 2 == pytest.approx(4e-9, rel=0.05)
 
+    @pytest.mark.parametrize("word", [0, 2 ** 64 - 1], ids=["zeros", "ones"])
+    @pytest.mark.parametrize("count", [8, 7])
+    def test_extreme_words_stay_in_the_bound(self, word, count):
+        # in float32, k + 1/2 rounds to an even integer for k >= 2^23, so the
+        # all-ones word (k = 2^24 - 1) gives u = 1 exactly: radius 0, draw 0
+        class ConstantBits:
+            def random_raw(self, n):
+                return np.full(n, word, dtype=np.uint64)
+
+        var = 0.25
+        z = np.empty(count, dtype=np.float32)
+        _box_muller(ConstantBits(), z, var)
+        assert np.all(np.isfinite(z))
+        # float32 rounding of the log and the square root, ~1e-7 relative
+        assert np.all(np.abs(z) <= math.sqrt(50 * math.log(2) * var)
+                      * (1.0 + 1e-6))
+        if word:
+            assert np.all(z == 0.0)
+
     def test_seeds_at_and_above_2_63_key_their_own_streams(self):
         # a key passed through float64 would merge 2^63 + 12345 and
         # 2^63 + 12346 into 2^63 + 12288, and 2^64 - 1 into seed 0

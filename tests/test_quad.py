@@ -105,6 +105,45 @@ class TestFailures:
                            match=r"NaN/inf on \[0\.0, 1\.0\]"):
             integrate_singular(f, 1.0, sing_exponent=0.0, tol=1e-8)
 
+    # T = 4 starts on the panels [0, 1], [1, 2] and [2, 4]
+    def test_first_bad_panel_is_named(self):
+        def f(t):
+            return np.where(t > 2.5, np.nan, 1.0)
+
+        with pytest.raises(IntegrandFailureError,
+                           match=r"NaN/inf on \[2\.0, 4\.0\]"):
+            integrate_singular(f, 4.0, sing_exponent=0.0, tol=1e-8)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_bad_value_at_one_16_point_node(self, bad):
+        # the panel [1, 2] has mid 1.5 and half-width 0.5; its 32-point sum
+        # stays finite, so only the 16-point sum sees the bad value
+        node = 1.5 + 0.5 * quad._X16[5]
+        assert node not in 1.5 + 0.5 * quad._X32
+
+        def f(t):
+            return np.where(t == node, bad, 1.0)
+
+        with pytest.raises(IntegrandFailureError,
+                           match=r"NaN/inf on \[1\.0, 2\.0\]"):
+            integrate_singular(f, 4.0, sing_exponent=0.0, tol=1e-8)
+
+    def test_one_bad_row_of_a_vector_integrand(self):
+        def f(t):
+            return np.vstack([np.ones_like(t),
+                              np.where(t > 2.5, np.inf, t), np.cos(t)])
+
+        with pytest.raises(IntegrandFailureError,
+                           match=r"NaN/inf on \[2\.0, 4\.0\]"):
+            integrate_singular(f, 4.0, sing_exponent=0.0, tol=1e-8)
+
+    def test_finite_values_whose_sums_overflow_are_not_named(self):
+        # every value is finite but the Gauss sums overflow: no panel is
+        # accepted, and the budget, not a NaN/inf report, ends the run
+        with pytest.raises(QuadratureBudgetError):
+            integrate_singular(lambda t: np.full_like(t, 1e308), 1.0,
+                               sing_exponent=0.0, tol=1e-8)
+
     def test_budget_error_carries_best_estimate(self, monkeypatch):
         monkeypatch.setattr(quad, "NODE_BUDGET", 2000)
         with pytest.raises(QuadratureBudgetError) as excinfo:

@@ -3,6 +3,7 @@
 import json
 from math import factorial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,83 @@ class TestCumulative:
         allc = phi.cumulative_all(t)
         for i in range(3):
             assert np.allclose(allc[i], phi.cumulative(t, i), atol=1e-13)
+
+
+def _old_hermite_values(n_max, t):
+    """The recurrence as first written: a temporary per term, every row
+    copied into the table."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty((n_max,) + t.shape)
+    h_prev = np.zeros_like(t)
+    h = PI14 * np.exp(-0.5 * t * t)
+    for k in range(n_max):
+        out[k] = h
+        h_next = (np.sqrt(2.0 / (k + 1)) * t * h
+                  - np.sqrt(k / (k + 1.0)) * h_prev)
+        h_prev, h = h, h_next
+    return out
+
+
+def _mp_antiderivatives(n_max, t):
+    """I_k(t), k < n_max, by the antiderivative recurrence in 40-digit
+    arithmetic, where its cancellation costs nothing."""
+    mpmath.mp.dps = 40
+    t = mpmath.mpf(t)
+    norm = [1 / mpmath.sqrt(2 ** k * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi))
+            for k in range(n_max)]
+    dh = [norm[k] * (mpmath.hermite(k, t) * mpmath.exp(-t * t / 2)
+                     - mpmath.hermite(k, 0)) for k in range(n_max)]
+    out = [mpmath.pi ** 0.25 / mpmath.sqrt(2) * mpmath.erf(t / mpmath.sqrt(2))]
+    for k in range(n_max - 1):
+        prev = out[k - 1] if k else 0
+        out.append((mpmath.sqrt(mpmath.mpf(k) / 2) * prev - dh[k])
+                   / mpmath.sqrt(mpmath.mpf(k + 1) / 2))
+    return out
+
+
+class TestPrimitiveMatrix:
+    """The primitive c(t) from the cached recurrence matrix."""
+
+    @pytest.mark.parametrize("n", [6, 17, 40])
+    def test_antiderivatives_against_mpmath(self, n):
+        t = np.array([-3.0, 0.1, 1.0, 3.0, 7.5, 12.0, 25.0])
+        got = schwartz.hermite_antiderivatives(n, t)
+        assert got.shape == (n, t.size)
+        for j, tj in enumerate(t):
+            ref = np.array(_mp_antiderivatives(n, tj), dtype=float)
+            assert np.max(np.abs(got[:, j] - ref)) <= 1e-15
+
+    def test_small_t_keeps_relative_accuracy(self):
+        # c(t) ~ t phi(0) as t -> 0; subtracting h(0) after the product
+        # instead of before loses 6e-6 relative here
+        coeffs = [1.0, 0.5, 0.25]
+        phi = TestFunction([coeffs])
+        t = np.geomspace(1e-12, 1e-2, 21)
+        got = phi.cumulative_all(t)[0]
+        for tj, g in zip(t, got):
+            ref = sum(c * i for c, i in zip(coeffs,
+                                            _mp_antiderivatives(3, tj)))
+            assert abs(g - float(ref)) <= 2e-8 * abs(float(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 17, 40])
+    @pytest.mark.parametrize("t", [0.7, -3.2, 0.0,
+                                   np.linspace(-9.0, 9.0, 37),
+                                   np.linspace(-4.0, 5.0, 12).reshape(3, 4)])
+    def test_hermite_values_bit_for_bit(self, n, t):
+        got = schwartz.hermite_values(n, t)
+        want = _old_hermite_values(n, t)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_and_nd_shapes(self):
+        phi = TestFunction([[0.3, -1.1, 0.4], [0.7]])
+        t = np.linspace(-2.0, 2.5, 12).reshape(3, 4)
+        vals, cums = phi.eval_and_cumulative(t)
+        assert vals.shape == cums.shape == (2, 3, 4)
+        assert np.array_equal(cums, phi.cumulative_all(t))
+        assert np.allclose(phi.cumulative_all(t[1, 2]), cums[:, 1, 2],
+                           rtol=0.0, atol=1e-15)
+        assert schwartz.hermite_antiderivatives(3, 0.4).shape == (3,)
 
 
 class TestRaggedComponents:

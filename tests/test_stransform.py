@@ -539,6 +539,17 @@ class TestFitUFunctionalBound:
             assert np.isfinite(fit.C1) and np.isfinite(fit.C2)
             assert fit.C2 <= 0.5 * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize("angles", [2.5, True, 0, -3, 16.0])
+    def test_angle_count_must_be_a_positive_integer(self, rng, angles):
+        phi = random_phi(rng, 1, 4)
+        with pytest.raises(ValueError, match="angles_per_radius"):
+            fit_ufunctional_bound(constant(3.0), phi, [1.0, 2.0], angles)
+
+    def test_one_angle_per_radius_is_a_fit(self, rng):
+        phi = random_phi(rng, 1, 4)
+        fit = fit_ufunctional_bound(constant(3.0), phi, [1.0, 2.0], 1)
+        assert fit.C1 == pytest.approx(3.0, rel=1e-10)
+
     def test_bound_majorizes_samples(self, rng):
         phi = random_phi(rng, 1, 5, unit_l2=True)
         F = donsker_ufunctional([0.6], 1.0)
