@@ -17,6 +17,12 @@ holds:
     and of s_current and s_current_mollified (eps2 0.01) at tol 1e-8, each
     with its node count: median and quartiles of 15 interleaved repeats,
     each the mean of a batch of calls;
+  * "growth_fit_layers": on d in {1, 2, 3} and LAYER_PHI in every component
+    scaled to unit L^2 norm, the us per call of sup_norm and of
+    fit_ufunctional_bound on the Donsker delta and on the current's
+    integrand at x = (0.8, 0, ...), t = 1, over chaos-growth's 8 radii
+    from 2 to 12 and 16 angles: median and quartiles of 15 interleaved
+    repeats, each the mean of a batch of calls;
   * "mc_block": for each of criterion 5's four cases, one 1,024-path block
     at 4,096 steps: the normals drawn and the median and quartiles, over 7
     interleaved repeats, of the ms of simulate_increments,
@@ -49,7 +55,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from hidacur import (CurrentParams, TestFunction, s_current,  # noqa: E402
-                     s_current_mollified)
+                     s_current_mollified, stransform)
 from hidacur import montecarlo  # noqa: E402
 from hidacur.experiments import (MC_ACCEPTANCE_CASES,  # noqa: E402
                                  mc_acceptance_phi, run_experiment)
@@ -140,6 +146,30 @@ def closed_form_layers(repeats=15, batch=20):
             "rows": rows}
 
 
+def growth_fit_layers(repeats=15, batch=20):
+    radii = np.geomspace(2.0, 12.0, 8)
+    rows = []
+    for d in (1, 2, 3):
+        phi = TestFunction([LAYER_PHI] * d)
+        phi = phi.scaled(1.0 / phi.l2_norm())
+        x = [0.8] + [0.0] * (d - 1)
+        rows += [
+            {"layer": "sup_norm", "d": d, "fn": phi.sup_norm},
+            *[{"layer": f"fit_bound_{kind}", "d": d,
+               "fn": lambda F=F, phi=phi: stransform.fit_ufunctional_bound(
+                   F, phi, radii, angles_per_radius=16)}
+              for kind, F in (
+                  ("donsker", stransform.donsker_ufunctional(x, 1.0)),
+                  ("wick", stransform.wick_integrand_ufunctional(x, 1.0, 0)))],
+        ]
+    samples = interleaved([row.pop("fn") for row in rows], repeats, batch)
+    for row, sample in zip(rows, samples):
+        row["us"] = quartiles(sample, 1e6, 2)
+    return {"x_norm": 0.8, "t": 1.0, "phi": LAYER_PHI, "radii": radii.tolist(),
+            "angles_per_radius": 16, "repeats": repeats, "batch": batch,
+            "rows": rows}
+
+
 def mc_block(repeats=7):
     rows = []
     for case in MC_ACCEPTANCE_CASES:
@@ -214,6 +244,7 @@ def main(argv=None):
         "src_lines": src_lines(),
         "quad_nodes": quad_nodes(),
         "closed_form_layers": closed_form_layers(),
+        "growth_fit_layers": growth_fit_layers(),
         "mc_block": mc_block(),
         "perfbench": bench,
         "acceptance": acceptance(),

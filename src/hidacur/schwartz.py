@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "TestFunction",
@@ -69,6 +68,8 @@ def _primitive_matrix(n):
 def _primitive(coef, h, t):
     """coef @ I(t), shape (len(coef),) + shape(t), from the table
     h = hermite_values(len(h), t), which it overwrites with h - h(0)."""
+    # imported on first use, as in special: `import hidacur` loads no scipy
+    from scipy.special import erf
     Aa, h0 = _primitive_matrix(len(h))
     diff = h.reshape(len(h), t.size)
     diff -= h0  # before the product: see hermite_antiderivatives
@@ -76,6 +77,21 @@ def _primitive(coef, h, t):
     i0 = np.pi ** 0.25 / math.sqrt(2.0) * erf(t.ravel() / math.sqrt(2.0))
     out = ca[:, :-1] @ diff + ca[:, -1:] * i0
     return out.reshape((-1,) + t.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_matrix(n):
+    """D, shape (n, n + 1), with (coef @ D) @ h = phi' for phi = coef @ h on
+    the first n modes, from h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}.
+    Its entries are those of t h_k = sqrt((k+1)/2) h_{k+1} + sqrt(k/2)
+    h_{k-1} up to sign, so |D[:N, :N]| is that recurrence's N x N Jacobi
+    matrix.  Read-only."""
+    D = np.zeros((n, n + 1))
+    k = np.arange(n)
+    D[k[1:], k[:-1]] = np.sqrt(k[1:] / 2.0)
+    D[k, k + 1] = -np.sqrt((k + 1) / 2.0)
+    D.flags.writeable = False
+    return D
 
 
 def hermite_antiderivatives(n_max, t):
@@ -183,34 +199,40 @@ class TestFunction:
         return float(np.sqrt(0.5 * (b - a) * np.sum(vals ** 2 @ w)))
 
     def sup_norm(self):
-        """Upper estimate of sup_t max_i |phi_i(t)|.
+        """sup_t max_i |phi_i(t)| from phi's critical points, times 1 + 1e-10.
 
-        Dense grid search over the essential support of the basis, refined by
-        4 Newton steps on phi_i' = 0 from each component's best grid point
-        (quadratic convergence from within 0.01, each step clamped to the two
-        grid steps around it), then inflated by a relative 1e-10 so the
-        result majorizes pointwise samples.  phi' and phi'' come from one
-        table of n_basis + 1 rows: h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2)
-        h_{k+1} and h_k'' = (t^2 - 2k - 1) h_k.
+        |phi_i| tends to 0 at +-inf, so its maximum sits at a zero of
+        phi_i' = sum_k e_ik h_k (e = coef @ D, see _derivative_matrix): a
+        zero of the degree-N polynomial sum_k e_ik psi_k in the orthonormal
+        Hermite polynomials psi_k.  Those are the eigenvalues of its
+        colleague matrix, the Jacobi matrix of t psi_k = sqrt((k+1)/2)
+        psi_k+1 + sqrt(k/2) psi_k-1 with its last row reduced by
+        sqrt(N/2) e_i,0..N-1 / e_iN: one eigvals call per distinct N, then
+        one table at the real parts, each component at its own points.
+
+        Every |phi_i(t)| is a lower bound of the sup and the largest over
+        the real critical points is the sup itself, so the result majorizes
+        every pointwise sample once the 1e-10 covers the rounding of the
+        roots, which moves a peak's value only to second order.  Trailing
+        e_ik under 1e-8 of the largest are dropped: they move phi_i' by that
+        fraction and its peaks by its square, while a leading coefficient
+        that small makes the matrix's last row swamp its small eigenvalues.
+        Exactly 0.0 for phi = 0.
         """
-        half_width = np.sqrt(2.0 * (self.n_basis + 1)) + 8.0
-        t = np.linspace(-half_width, half_width, 4001)
-        vals = np.abs(self.eval_all(t))
-        j = np.argmax(vals, axis=1)
-        lo = t[np.maximum(j - 1, 0)]
-        hi = t[np.minimum(j + 1, t.size - 1)]
-        k = np.arange(self.n_basis)[:, None]
-        up, down = np.sqrt(k / 2.0), np.sqrt((k + 1) / 2.0)
-        s = t[j]  # component i is refined at its own point s_i
-        for _ in range(4):
-            h = hermite_values(self.n_basis + 1, s)
-            dh = up * np.vstack([np.zeros_like(s), h[:-2]]) - down * h[1:]
-            ddh = (s * s - 2 * k - 1) * h[:-1]
-            d1, d2 = (np.einsum("ik,ki->i", self._coef, a) for a in (dh, ddh))
-            newton = np.divide(d1, d2, out=np.zeros_like(d1), where=d2 != 0.0)
-            s = np.clip(s - newton, lo, hi)
-        cand = np.abs(np.diagonal(self.eval_all(s)))
-        return float(max(cand.max(), vals.max())) * (1.0 + 1e-10)
+        D = _derivative_matrix(self.n_basis)
+        e = self._coef @ D
+        mag = np.abs(e)
+        top = mag > 1e-8 * mag.max(axis=1, keepdims=True)
+        deg = (top * np.arange(e.shape[1])).max(axis=1)  # 0 for phi_i = 0
+        # row i: component i's points, for the diagonal below; 0-padding is a sample
+        t = np.zeros((self.dimension, max(deg.max(), 1)))
+        for N in set(deg.tolist()) - {0}:
+            rows = deg == N
+            C = np.repeat(np.abs(D[None, :N, :N]), rows.sum(), axis=0)
+            C[:, -1] -= math.sqrt(N / 2.0) * e[rows, :N] / e[rows, N:N + 1]
+            t[rows, :N] = np.linalg.eigvals(C).real
+        vals = np.diagonal(self.eval_all(t))
+        return float(np.abs(vals).max()) * (1.0 + 1e-10)
 
     def combined_norm(self):
         """sqrt(l2_norm^2 + sup_norm^2)."""

@@ -174,11 +174,13 @@ def _integrate_current(p, phi, tol, i=None, z=None, eps2=0.0, order=None):
         raise ValueError("test function dimension does not match d")
     if z is not None and not np.any(z):  # the checks above still hold at z = 0
         return QuadResult(np.zeros_like(z), np.zeros(np.shape(z)), 0)
-    # z as a column for the (m, n) rows; z = 1 is exact in every product
-    zcol = np.ones((1, 1)) if z is None else np.asarray(z)[:, None]
+    # z as a column for the (m, n) rows, x as a column for c's (d, n) or
+    # z c's (d, m, n); z None means z = 1, so c is used as it is
+    zcol = None if z is None else np.asarray(z)[:, None]
+    xcol = x[:, None] if z is None else x[:, None, None]
 
     def f(t):
-        te = t + eps2
+        te = t + eps2 if eps2 else t
         # one Hermite table per call: phi alone for order 1, phi and c otherwise
         if order == 1:
             v, c = phi.eval_all(t), None
@@ -187,10 +189,14 @@ def _integrate_current(p, phi, tol, i=None, z=None, eps2=0.0, order=None):
         if order:
             q = r2
         else:
-            q = np.sum((x[:, None, None] - zcol * c[:, None]) ** 2, axis=0)
-        k = (_TWO_PI * te) ** (-d / 2.0) * np.exp(-q / (2.0 * te))
+            q = xcol - (c if z is None else zcol * c[:, None])
+            q = np.add.reduce(np.square(q, out=q), axis=0)
+        k = np.divide(q, -2.0 * te)  # -q / 2te, with the sign on the divisor
+        np.exp(k, out=k)
+        k *= (_TWO_PI * te) ** (-d / 2.0)
         if order is None:
-            k = k * zcol
+            if z is not None:
+                k *= zcol
         elif order > 1:
             a = x @ c / te
             b = np.sum(c * c, axis=0) / te if order > 2 else 0.0

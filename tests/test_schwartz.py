@@ -17,6 +17,19 @@ from conftest import random_phi
 PI14 = np.pi ** (-0.25)
 
 
+def dense_sup(phi):
+    """max_i |phi_i| on a grid of step ~1e-3 over the basis's support, each
+    near-peak point then resampled at step ~1e-6 (error ~1e-11 relative)."""
+    half_width = np.sqrt(2.0 * phi.n_basis + 1.0) + 8.0
+    t = np.linspace(-half_width, half_width, 20_001)
+    vals = np.abs(phi.eval_all(t))
+    best = vals.max()
+    for i, j in zip(*np.nonzero(vals >= best * (1.0 - 1e-3))):
+        fine = np.linspace(t[max(j - 1, 0)], t[min(j + 1, t.size - 1)], 2_001)
+        best = max(best, np.abs(phi.eval(fine, i)).max())
+    return best
+
+
 def coeff_lists(max_d=3, max_n=8):
     return st.lists(
         st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=max_n),
@@ -119,7 +132,8 @@ class TestSupNorm:
         assert peak <= s <= peak * (1.0 + 2e-10)
 
     def test_refinement_tables_are_few(self, rng, monkeypatch):
-        # one grid table plus one table per Newton step and one at the end
+        # the critical points come from eigenvalues, not from tables: one
+        # table at those points
         from hidacur import schwartz
 
         phi = random_phi(rng, 3, 5)
@@ -134,6 +148,38 @@ class TestSupNorm:
         monkeypatch.setattr(schwartz, "hermite_values", counted)
         assert phi.sup_norm() == expected
         assert len(calls) <= 6
+
+    def test_majorizes_a_peak_between_coarse_samples(self):
+        # a 4,001-point scan locked onto the wrong peak here and returned
+        # 1.4124632929726093, while |phi(-1.924128)| = 1.4124633055464906
+        phi = TestFunction([[-1.1877610836807597, 6.006129499383975e-06,
+                             -1.2096802482007716, -3.083632630786289e-05,
+                             -1.0059731146970812, -0.00012850008707331523,
+                             0.6980030485142469]])
+        t = np.linspace(-6.0, 6.0, 2_000_001)
+        dense = max(np.abs(phi.eval_all(chunk)).max()
+                    for chunk in np.array_split(t, 20))
+        assert phi.sup_norm() >= dense >= 1.4124633055464906
+
+    @pytest.mark.parametrize("comps", [
+        *[[np.random.default_rng([d, n]).normal(size=n) for _ in range(d)]
+          for d in (1, 2, 3) for n in (1, 2, 5, 17, 40)],
+        # components of different lengths, and degrees that drop below the
+        # padded length through zero top coefficients
+        [[0.3, -1.1, 0.4], [0.7], [-0.2, 0.5, 0.9, -0.6, 0.1, 0.0, 0.0]],
+        [[0.0, 0.0, 1.0, 0.0, 0.0], [1.0, 0.5]],
+        # a zero component next to a nonzero one, either way round
+        [[0.0, 0.0, 0.0], [0.4, -0.8, 0.2]],
+        [[1.2, 0.3], [0.0]],
+        # leading coefficients far below the rest
+        [[1.0, 0.5, 1e-300]],
+        [[1.0, 0.0, 0.0, 1e-20]],
+        [[0.6, -0.3, 0.25, 0.15, -0.1, 1e-12], [0.2, 1e-9]],
+    ])
+    def test_within_the_inflation_of_a_dense_max(self, comps):
+        phi = TestFunction(comps)
+        dense = dense_sup(phi)
+        assert dense <= phi.sup_norm() <= dense * (1.0 + 2e-10)
 
     def test_majorizes_pointwise_values(self, rng):
         phi = random_phi(rng, 2, 8)
