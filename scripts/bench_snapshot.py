@@ -65,15 +65,16 @@ WORKLOADS = ("closed-form", "chaos-growth", "mc-grid")
 SEED = 1
 # the closed-form layer rows' phi, the same 5 modes in every component
 LAYER_PHI = [0.6, -0.3, 0.25, 0.15, -0.1]
-# criterion: (kind, config, time gate in s of tests/test_acceptance.py)
+# criterion: (config, time gate in s of tests/test_acceptance.py); the
+# config names its kind
 CRITERIA = {
-    1: ("gamma-check", "01_gamma_check.json", 5.0),
-    2: ("stransform", "02_existence.json", 10.0),
-    3: ("chaos", "03_chaos_order1.json", 10.0),
-    4: ("chaos", "04_chaos_order2.json", 20.0),
-    5: ("mc", "05_mc_grid.json", 120.0),
-    6: ("diverge", "06_diverge.json", 1.0),
-    7: ("ubound", "07_ubound.json", 5.0),
+    1: ("01_gamma_check.json", 5.0),
+    2: ("02_existence.json", 10.0),
+    3: ("03_chaos_order1.json", 10.0),
+    4: ("04_chaos_order2.json", 20.0),
+    5: ("05_mc_grid.json", 120.0),
+    6: ("06_diverge.json", 1.0),
+    7: ("07_ubound.json", 5.0),
 }
 
 
@@ -203,29 +204,30 @@ def perfbench(workload):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def timed_run(kind, config, threads):
-    """(wall seconds, record) of one config at HIDACUR_THREADS=threads."""
+def timed_run(config, threads):
+    """(wall seconds, record) of one config, run as the kind it names, at
+    HIDACUR_THREADS=threads."""
     with open(ROOT / "configs" / config) as fh:
         knobs = json.load(fh)
     with mock.patch.dict(os.environ, {"HIDACUR_THREADS": str(threads)}):
         t0 = time.perf_counter()
-        record = run_experiment(kind, knobs)
+        record = run_experiment(knobs["kind"], knobs)
         return time.perf_counter() - t0, record
 
 
 def acceptance():
     nproc = os.cpu_count() or 1
     rows = {}
-    for n, (kind, config, gate) in CRITERIA.items():
+    for n, (config, gate) in CRITERIA.items():
         row = {"config": config, "gate_s": gate}
         for threads in dict.fromkeys((1, nproc)):
-            wall, record = timed_run(kind, config, threads)
+            wall, record = timed_run(config, threads)
             row[f"wall_s_threads{threads}"] = round(wall, 3)
             row[f"passed_threads{threads}"] = bool(record["passed"])
             if n == 5 and threads == 1:
                 bodies1 = [r["estimate_body"] for r in record["rows"]]
         rows[str(n)] = row
-    wall, record = timed_run("mc", "05_mc_grid.json", 8)
+    wall, record = timed_run("05_mc_grid.json", 8)
     rows["8"] = {"config": "05_mc_grid.json", "gate_s": None,
                  "wall_s_threads8": round(wall, 3),
                  "passed": [r["estimate_body"] for r in record["rows"]] == bodies1}

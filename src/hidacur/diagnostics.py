@@ -47,15 +47,14 @@ def _mass(d, T, delta):
 
 def _lstsq_1d(u, y, w):
     """Weighted least squares y = intercept + slope * u; returns
-    (intercept, slope, weighted rms residual)."""
+    (intercept, slope)."""
     sw, su, sy = w.sum(), (w * u).sum(), (w * y).sum()
     suu, suy = (w * u * u).sum(), (w * u * y).sum()
     denom = sw * suu - su * su
     # u constant up to rounding (e.g. one radius): slope undetermined, take 0
     slope = 0.0 if denom <= 1e-12 * sw * suu else (sw * suy - su * sy) / denom
     intercept = (sy - slope * su) / sw
-    resid = float(np.sqrt(np.average((y - intercept - slope * u) ** 2, weights=w)))
-    return intercept, slope, resid
+    return intercept, slope
 
 
 def divergence_scan(d, T, cutoffs):
@@ -78,14 +77,16 @@ def divergence_scan(d, T, cutoffs):
     m = masses[-n_tail:]
     w = np.ones_like(delta)
 
-    fits = {}
-    a, b, r = _lstsq_1d(np.sqrt(delta), m, w)
-    fits["bounded"] = (a, b, r / max(abs(m).max(), 1.0))
-    a, b, r = _lstsq_1d(np.log(1.0 / delta), m, w)
-    fits["log"] = (a, b, r / max(abs(m).max(), 1.0))
+    top = max(abs(m).max(), 1.0)  # the mass models' residuals are relative
+    models = [("bounded", np.sqrt(delta), m, top),
+              ("log", np.log(1.0 / delta), m, top)]
     if np.all(m > 0.0):
-        a, b, r = _lstsq_1d(np.log(delta), np.log(m), w)
-        fits["power"] = (a, b, r)
+        models.append(("power", np.log(delta), np.log(m), 1.0))
+    fits = {}
+    for name, u, y, scale in models:
+        a, b = _lstsq_1d(u, y, w)
+        r = float(np.sqrt(np.average((y - a - b * u) ** 2, weights=w)))
+        fits[name] = (a, b, r / scale)
     best = min(fits, key=lambda k: fits[k][2])
 
     intercept, slope, resid = fits[best]

@@ -18,7 +18,8 @@ class QuadratureBudgetError(RuntimeError):
 
 
 class IntegrandFailureError(RuntimeError):
-    """Integrand returned NaN or infinity."""
+    """An integrand, or a U-functional sampled for a growth fit, returned NaN
+    or infinity."""
 
 
 class UnstableDerivativeError(RuntimeError):

@@ -52,12 +52,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .stransform import CurrentParams, _is_int
 
 __all__ = ["MCConfig", "MCEstimate", "simulate_increments",
            "mollified_current_sample", "mc_s_transform", "default_threads"]
@@ -72,11 +73,6 @@ CHUNK_PATHS = 32
 # call (128 x 17 x 16 multiply-adds, under OpenBLAS's threading threshold)
 SCAN_STEPS = 16
 SCAN_BLOCKS = 128
-
-
-def _is_int(value):
-    """An integer that is not a bool (JSON true is not a count or a seed)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_seed(seed):
@@ -101,19 +97,15 @@ class MCConfig:
             if not _is_int(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
-        x = tuple(float(v) for v in np.atleast_1d(self.x))
+        x = tuple(CurrentParams(self.x, self.T).x.tolist())
         object.__setattr__(self, "x", x)
-        if len(x) != self.d or self.d < 1:
+        if len(x) != self.d:
             raise ValueError(f"x must have length d={self.d}")
-        if not all(map(math.isfinite, x)):
-            raise ValueError(f"x must be finite, got {list(x)}")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
         _check_seed(self.seed)
         if not 0.0 < self.eps2 < math.inf:
             raise ValueError(f"eps2 must be finite and > 0, got {self.eps2}")
-        if not 0.0 < self.T < math.inf:
-            raise ValueError(f"T must be finite and > 0, got {self.T}")
 
     @property
     def n_blocks(self):

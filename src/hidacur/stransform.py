@@ -30,6 +30,7 @@ on z and are computed once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +38,6 @@ import numpy as np
 
 from .diagnostics import _lstsq_1d
 from .errors import IntegrandFailureError, NonexistenceError
-from .montecarlo import _is_int
 from .quad import QuadResult, integrate_singular
 from .special import singular_mass_closed
 
@@ -58,9 +58,14 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 
+def _is_int(value):
+    """An integer that is not a bool (JSON true is not a count or a seed)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class CurrentParams:
-    """The pair (x, T) identifying one stochastic current in d = len(x)."""
+    """One point (x, T), d = len(x); every check of a point is made here."""
 
     x: np.ndarray
     T: float
@@ -132,10 +137,8 @@ def s_donsker(x, t, phi, z=1.0):
     or a 1-d array, giving an array of the same shape.  The square in the
     exponent is the bilinear one, matching the entire extension in z.
     """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = len(x)
+    p = CurrentParams(x, t)
+    x, t, d = p.x, p.T, p.d
     if phi.dimension != d:
         raise ValueError("test function dimension does not match d")
     # c(t) once; row k of the outer product is z_k c(t)
@@ -157,21 +160,21 @@ def _integrate_current(p, phi, tol, i=None, z=None, eps2=0.0, order=None):
     sum_k G_k z^k, G_0 = 1, G_1 = a, G_{k+1} = (a G_k - b G_{k-1}) / (k + 1).
     At x = 0, a = 0, so G_{n-1} = 0 for even n and O(t^((n-1)/2)) for odd n;
     p.origin_exponent gives the kernel's exponent there for every order.
-    eps2 > 0 bounds the kernel: exponent 0, no existence check, and its
-    mass at t <~ eps2 + |x|^2 / 2, the damping scale the mesh starts at."""
+    Elsewhere (x != 0, or eps2 > 0) the kernel is bounded: exponent 0, and
+    its mass at t <~ eps2 + |x|^2 / 2, the damping scale the mesh starts at."""
     x, d = p.x, p.d
     r2 = float(np.dot(x, x))
-    if eps2 > 0.0:
-        sing, damping = 0.0, eps2 + r2 / 2.0
-    elif p.at_origin:
+    if p.at_origin and not eps2:
         sing, damping = p.origin_exponent(order or 1), None
     else:
-        if r2 < np.finfo(float).tiny:
+        if not eps2 and r2 < np.finfo(float).tiny:
             raise IntegrandFailureError(
                 f"|x|^2 = {r2:g} underflows at x = {x.tolist()}")
-        sing, damping = -d / 2.0, r2 / 2.0
+        sing, damping = 0.0, eps2 + r2 / 2.0
     if phi.dimension != d:
         raise ValueError("test function dimension does not match d")
+    if i is not None:
+        phi._check_index(i)
     if z is not None and not np.any(z):  # the checks above still hold at z = 0
         return QuadResult(np.zeros_like(z), np.zeros(np.shape(z)), 0)
     # z as a column for the (m, n) rows, x as a column for c's (d, n) or
@@ -279,7 +282,8 @@ def fit_ufunctional_bound(F, phi, radii, angles_per_radius=16):
     the quadratic growth coefficient with tail-emphasizing weights r^2 (0
     from a single radius), then inflates C1 so every sample satisfies the
     bound (the definition demands a majorant, not a best fit).
-    angles_per_radius must be an integer >= 1, and not a bool.
+    angles_per_radius must be an integer >= 1, and not a bool.  A NaN or
+    infinite sample raises IntegrandFailureError.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or not np.all((0.0 < radii) & (radii < np.inf)):
@@ -290,10 +294,12 @@ def fit_ufunctional_bound(F, phi, radii, angles_per_radius=16):
     nrm2 = phi.combined_norm() ** 2
     thetas = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
     z = (radii[:, None] * np.exp(1j * thetas)).ravel()
-    mags = np.abs(F(z, phi)).reshape(radii.size, -1)
-    y = np.log(np.maximum(mags.max(axis=1), 1e-300))
+    peak = np.abs(F(z, phi)).reshape(radii.size, -1).max(axis=1)
+    if not np.isfinite(peak).all():  # max propagates a NaN
+        raise IntegrandFailureError(f"U-functional peaks: {peak.tolist()}")
+    y = np.log(np.maximum(peak, 1e-300))
     u = radii ** 2 * nrm2
-    _, slope, _ = _lstsq_1d(u, y, radii ** 2)
+    _, slope = _lstsq_1d(u, y, radii ** 2)
     c2 = max(slope, 0.0)
     log_c1 = np.max(y - c2 * u)
     return BoundFit(C1=float(np.exp(log_c1)), C2=float(c2))

@@ -7,6 +7,7 @@ import os
 import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hidacur import cli, experiments, stransform
@@ -175,6 +176,11 @@ class TestExitCodes:
         with pytest.raises(ValueError, match=str(2 ** 64)):
             experiments.run_experiment("ubound", {"seed": 2 ** 64})
 
+    def test_runner_refuses_unknown_kind(self):
+        # the CLI's choices stop it first; run_experiment is also public
+        with pytest.raises(ValueError, match="unknown experiment kind 'sweep'"):
+            experiments.run_experiment("sweep", {})
+
     def test_null_mc_seed_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "n_paths": 64, "n_steps": 16, "stderr_fraction": None,
@@ -218,6 +224,22 @@ class TestFailedCheck:
             for row in csv.DictReader(fh):
                 for cell in row.values():
                     json.loads(cell, parse_constant=cli._reject_constant)
+
+    def test_unrefused_origin_fails_the_sweep(self, monkeypatch):
+        # a current that no longer refused x = 0 in d > 1 must fail
+        # criterion 2, with a refusal row saying so
+        real = experiments.s_current
+
+        def lenient(p, phi, **kwargs):
+            if p.at_origin and p.d > 1:
+                return np.zeros(p.d)
+            return real(p, phi, **kwargs)
+
+        monkeypatch.setattr(experiments, "s_current", lenient)
+        rec = experiments.run_existence(n_nonzero=2, n_origin_d1=1)
+        assert rec["refusals"] == [{"d": 2, "refused": False},
+                                   {"d": 3, "refused": False}]
+        assert rec["passed"] is False
 
     def test_no_ratio_rows_give_null_mean(self, monkeypatch):
         # every second-chaos value NaN: no row has |paper| > 1e-10

@@ -333,6 +333,10 @@ class TestMCSTransform:
         assert est.mean.tolist() == [0.0]
         assert est.stderr.tolist() == [0.0]
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            mc_s_transform(small_cfg(), TestFunction([[0.2], [0.1]]))
+
     def test_x_orthogonal_component_is_exactly_zero(self):
         # criterion 5's d = 2 case: phi_1 = 0 adds no drift, so g_1 == f_1,
         # beta = 1 and the estimate is 0 +- 0, as the closed form is 0
@@ -569,3 +573,24 @@ class TestSerialization:
         # each gave a NaN mean or 0 +- 0 without an error
         with pytest.raises(ValueError, match="finite"):
             small_cfg(**kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"x": (math.nan,)}, "x must be finite, got [nan]"),
+        ({"T": math.inf}, "T must be finite and > 0, got inf"),
+        ({"T": 0.0}, "T must be finite and > 0, got 0.0"),
+        ({"x": (0.5, 0.1)}, "x must have length d=1")])
+    def test_point_check_messages(self, kw, message):
+        # x and T are checked by CurrentParams, the length by MCConfig
+        with pytest.raises(ValueError) as exc:
+            small_cfg(**kw)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_paths", 0), ("n_steps", 0), ("n_paths", -4)])
+    def test_count_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match="n_paths and n_steps"):
+            small_cfg(**{field: value})
+
+    def test_x_is_stored_as_a_tuple_of_floats(self):
+        cfg = small_cfg(d=2, x=np.array([1, 0]))
+        assert cfg.x == (1.0, 0.0) and all(type(v) is float for v in cfg.x)

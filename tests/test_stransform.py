@@ -1,5 +1,9 @@
 """Closed-form S-transforms, the Wick integrand, integrability, growth fits."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -136,6 +140,19 @@ class TestDonsker:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             s_donsker([0.5, 0.1], 1.0, TestFunction.zero(1))
+
+    @pytest.mark.parametrize("x, t, match", [
+        ([np.nan], 1.0, "x must be finite"), ([np.inf], 1.0, "x must be finite"),
+        ([0.5], np.inf, "T must be"), ([0.5], np.nan, "T must be")])
+    def test_non_finite_point_is_refused(self, rng, x, t, match):
+        # s_donsker returned nan, and donsker_ufunctional([inf], 1.0) 0.0;
+        # all three go through CurrentParams' check
+        phi = random_phi(rng, len(x), 4)
+        for f in (lambda: s_donsker(x, t, phi),
+                  lambda: donsker_ufunctional(x, t)(1.0, phi),
+                  lambda: wick_integrand_ufunctional(x, t, 0)(1.0, phi)):
+            with pytest.raises(ValueError, match=match):
+                f()
 
 
 class TestSCurrent:
@@ -306,6 +323,29 @@ def origin_leading_term(d, r):
         return PI14 * (np.log(2.0 / r ** 2) - np.euler_gamma) / (2 * np.pi)
     return PI14 * (2 * np.pi) ** (-d / 2) * gamma(d / 2 - 1) \
         * (r * r / 2) ** (1 - d / 2)
+
+
+class TestComponentIndex:
+    """Every current integral refuses a component index outside [0, d), as
+    phi.eval and phi.cumulative do."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("index", ["-1", "d"])
+    @pytest.mark.parametrize("call", [
+        lambda p, phi, i: first_chaos_pairing_closed(p, phi, i),
+        lambda p, phi, i: second_chaos_pairing_closed(p, phi, i),
+        lambda p, phi, i: current_ufunctional(p, i)(1.0, phi),
+        lambda p, phi, i: current_ufunctional(p, i)(0.0, phi),
+        lambda p, phi, i: current_ufunctional(p, i)(np.zeros(3), phi),
+    ], ids=["first-chaos", "second-chaos", "ufunctional", "ufunctional-z0",
+            "ufunctional-z0-vector"])
+    def test_out_of_range_index_raises(self, rng, d, index, call):
+        # i = -1 read component d - 1, i = d raised numpy's IndexError from
+        # inside the quadrature, and at z = 0 returned 0j
+        p = CurrentParams(rng.uniform(0.3, 1.0, size=d), 1.0)
+        i = d if index == "d" else -1
+        with pytest.raises(IndexError, match="component index"):
+            call(p, random_phi(rng, d, 4), i)
 
 
 class TestApproachToOrigin:
@@ -571,6 +611,17 @@ class TestFitUFunctionalBound:
             for th in np.linspace(0, 2 * np.pi, 16, endpoint=False):
                 assert abs(F(r * np.exp(1j * th), phi)) <= fit.C1 * (1 + 1e-9)
 
+    @pytest.mark.parametrize("kind", ["donsker", "wick"])
+    def test_non_finite_samples_raise(self, kind):
+        # a 30x phi overflows the samples at the two largest of
+        # chaos-growth's radii; the fit returned C1 = C2 = nan
+        phi = TestFunction([[18.0, -9.0, 7.5, 4.5, -3.0]])
+        F = (donsker_ufunctional([0.8], 1.0) if kind == "donsker"
+             else wick_integrand_ufunctional([0.8], 1.0, 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrandFailureError, match="peaks"):
+                fit_ufunctional_bound(F, phi, np.geomspace(2.0, 12.0, 8))
+
     def test_radii_must_be_positive(self, rng):
         phi = random_phi(rng, 1, 3)
         for radii in ([], [0.0], [1.0, -2.0], [np.inf], [2.0, 4.0, np.inf]):
@@ -619,3 +670,22 @@ class TestProofChainBound:
             lhs = abs(s_donsker(x, t, phi, z) * z * phi.eval(t, i))
             rhs = abs(z) * sup * heat * growth
             assert lhs <= rhs * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("module", ["stransform", "chaos"])
+def test_closed_forms_load_without_the_monte_carlo_module(module):
+    # imports run one way: closed forms, then the Monte Carlo oracle, then
+    # the experiments.  A bare package stands in for hidacur/__init__.py,
+    # which imports every module.
+    code = "\n".join([
+        "import sys, types",
+        "pkg = types.ModuleType('hidacur')",
+        f"pkg.__path__ = [{os.path.dirname(stransform.__file__)!r}]",
+        "sys.modules['hidacur'] = pkg",
+        f"import hidacur.{module}",
+        "loaded = sorted(m for m in sys.modules if m.startswith('hidacur.'))",
+        "assert 'hidacur.montecarlo' not in loaded, loaded",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
