@@ -8,15 +8,17 @@ holds:
 
   * "machine": CPU count, platform, Python, numpy and scipy versions;
   * "src_lines": the line count of src/hidacur/*.py, as wc -l totals it;
-  * "quad_nodes": the nodes of one s_current call at x = (r, 0, ...),
-    phi = [[1.0, 0.3]] * d, T = 1 and tol 1e-8, for d in {2, 3} and r from
-    1e-1 down to 1e-12, where the current blows up at the origin;
+  * "quad_nodes": the nodes and sweeps of one s_current call at
+    x = (r, 0, ...), phi = [[1.0, 0.3]] * d, T = 1 and tol 1e-8, for d in
+    {2, 3} and r from 1e-1 down to 1e-12, where the current blows up at the
+    origin;
   * "closed_form_layers": on d in {1, 2, 3}, x = (0.8, 0, ...), T = 1 and
     the 5-mode phi LAYER_PHI in every component, the us per call of
     hermite_values(6, .) and of eval_and_cumulative on 144 nodes in (0, 1],
-    and of s_current and s_current_mollified (eps2 0.01) at tol 1e-8, each
-    with its node count: median and quartiles of 15 interleaved repeats,
-    each the mean of a batch of calls;
+    of s_current and s_current_mollified (eps2 0.01) at tol 1e-8, and of
+    the first and second closed chaos pairings of component 0, each
+    quadrature with its nodes and sweeps (integrand calls): median and
+    quartiles of 15 interleaved repeats, each the mean of a batch of calls;
   * "growth_fit_layers": on d in {1, 2, 3} and LAYER_PHI in every component
     scaled to unit L^2 norm, the us per call of sup_norm and of
     fit_ufunctional_bound on the Donsker delta and on the current's
@@ -54,8 +56,10 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from hidacur import (CurrentParams, TestFunction, s_current,  # noqa: E402
-                     s_current_mollified, stransform)
+from hidacur import (CurrentParams, TestFunction,  # noqa: E402
+                     first_chaos_pairing_closed, s_current,
+                     s_current_mollified, second_chaos_pairing_closed,
+                     stransform)
 from hidacur import montecarlo  # noqa: E402
 from hidacur.experiments import (MC_ACCEPTANCE_CASES,  # noqa: E402
                                  mc_acceptance_phi, run_experiment)
@@ -96,7 +100,8 @@ def quad_nodes():
         for r in (1e-1, 1e-4, 1e-8, 1e-10, 1e-12):
             p = CurrentParams([r] + [0.0] * (d - 1), 1.0)
             _, (res,) = s_current(p, phi, tol=1e-8, full_output=True)
-            rows.append({"d": d, "r": r, "nodes": res.node_count})
+            rows.append({"d": d, "r": r, "nodes": res.node_count,
+                         "sweeps": res.sweeps})
     return {"T": 1.0, "tol": 1e-8, "rows": rows}
 
 
@@ -127,24 +132,35 @@ def closed_form_layers(repeats=15, batch=20):
     for d in (1, 2, 3):
         phi = TestFunction([LAYER_PHI] * d)
         p = CurrentParams([0.8] + [0.0] * (d - 1), 1.0)
-        _, (res,) = s_current(p, phi, tol=1e-8, full_output=True)
-        _, (mres,) = s_current_mollified(p, phi, 0.01, tol=1e-8,
-                                         full_output=True)
-        rows += [
-            {"layer": "eval_and_cumulative", "d": d, "nodes": t.size,
-             "fn": lambda phi=phi: phi.eval_and_cumulative(t)},
-            {"layer": "s_current", "d": d, "nodes": res.node_count,
-             "fn": lambda p=p, phi=phi: s_current(p, phi, tol=1e-8)},
-            {"layer": "s_current_mollified", "d": d, "nodes": mres.node_count,
-             "fn": lambda p=p, phi=phi: s_current_mollified(p, phi, 0.01,
-                                                           tol=1e-8)},
-        ]
+        # layer: (the QuadResult of one call, the timed call); a pairing's
+        # QuadResult comes from the _integrate_current call it makes
+        quads = {
+            "s_current": (
+                s_current(p, phi, tol=1e-8, full_output=True)[1][0],
+                lambda p=p, phi=phi: s_current(p, phi, tol=1e-8)),
+            "s_current_mollified": (
+                s_current_mollified(p, phi, 0.01, tol=1e-8,
+                                    full_output=True)[1][0],
+                lambda p=p, phi=phi: s_current_mollified(p, phi, 0.01,
+                                                         tol=1e-8)),
+            "first_pairing": (
+                stransform._integrate_current(p, phi, 1e-11, 0, order=1),
+                lambda p=p, phi=phi: first_chaos_pairing_closed(p, phi, 0)),
+            "second_pairing": (
+                stransform._integrate_current(p, phi, 1e-11, 0, order=2),
+                lambda p=p, phi=phi: second_chaos_pairing_closed(p, phi, 0)),
+        }
+        rows.append({"layer": "eval_and_cumulative", "d": d, "nodes": t.size,
+                     "fn": lambda phi=phi: phi.eval_and_cumulative(t)})
+        rows += [{"layer": layer, "d": d, "nodes": res.node_count,
+                  "sweeps": res.sweeps, "fn": fn}
+                 for layer, (res, fn) in quads.items()]
     samples = interleaved([row.pop("fn") for row in rows], repeats, batch)
     for row, sample in zip(rows, samples):
         row["us"] = quartiles(sample, 1e6, 2)
-    return {"x_norm": 0.8, "T": 1.0, "tol": 1e-8, "eps2": 0.01,
-            "phi": LAYER_PHI, "repeats": repeats, "batch": batch,
-            "rows": rows}
+    return {"x_norm": 0.8, "T": 1.0, "tol": 1e-8, "pairing_tol": 1e-11,
+            "eps2": 0.01, "phi": LAYER_PHI, "repeats": repeats,
+            "batch": batch, "rows": rows}
 
 
 def growth_fit_layers(repeats=15, batch=20):

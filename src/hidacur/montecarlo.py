@@ -97,15 +97,17 @@ class MCConfig:
             if not _is_int(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be an integer, got {getattr(self, name)!r}")
-        x = tuple(CurrentParams(self.x, self.T).x.tolist())
-        object.__setattr__(self, "x", x)
-        if len(x) != self.d:
+        p = CurrentParams(self.x, self.T)
+        if p.d != self.d:
             raise ValueError(f"x must have length d={self.d}")
         if self.n_paths < 1 or self.n_steps < 1:
             raise ValueError("n_paths and n_steps must be >= 1")
         _check_seed(self.seed)
         if not 0.0 < self.eps2 < math.inf:
             raise ValueError(f"eps2 must be finite and > 0, got {self.eps2}")
+        for name, value in (("x", tuple(p.x.tolist())), ("T", p.T),
+                            ("eps2", float(self.eps2))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_blocks(self):

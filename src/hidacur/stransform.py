@@ -137,14 +137,7 @@ def s_donsker(x, t, phi, z=1.0):
     or a 1-d array, giving an array of the same shape.  The square in the
     exponent is the bilinear one, matching the entire extension in z.
     """
-    p = CurrentParams(x, t)
-    x, t, d = p.x, p.T, p.d
-    if phi.dimension != d:
-        raise ValueError("test function dimension does not match d")
-    # c(t) once; row k of the outer product is z_k c(t)
-    zc = np.multiply.outer(np.atleast_1d(z), phi.cumulative_all(t))
-    q = np.sum((x - zc) ** 2, axis=-1)
-    return _shaped_like((_TWO_PI * t) ** (-d / 2.0) * np.exp(-q / (2.0 * t)), z)
+    return donsker_ufunctional(x, t)(z, phi)
 
 
 def _integrate_current(p, phi, tol, i=None, z=None, eps2=0.0, order=None):
@@ -176,7 +169,7 @@ def _integrate_current(p, phi, tol, i=None, z=None, eps2=0.0, order=None):
     if i is not None:
         phi._check_index(i)
     if z is not None and not np.any(z):  # the checks above still hold at z = 0
-        return QuadResult(np.zeros_like(z), np.zeros(np.shape(z)), 0)
+        return QuadResult(np.zeros_like(z), np.zeros(np.shape(z)), 0, 0)
     # z as a column for the (m, n) rows, x as a column for c's (d, n) or
     # z c's (d, m, n); z None means z = 1, so c is used as it is
     zcol = None if z is None else np.asarray(z)[:, None]
@@ -252,15 +245,26 @@ def current_ufunctional(p, i, tol=1e-12):
 
 
 def donsker_ufunctional(x, t):
-    """The Donsker-delta S-transform as a U-functional in z."""
-    return UFunctional(lambda z, phi: s_donsker(x, t, phi, z))
+    """The Donsker-delta S-transform as a U-functional in z; checks (x, t)."""
+    p = CurrentParams(x, t)
+    x, t, d = p.x, p.T, p.d
+
+    def f(z, phi):
+        if phi.dimension != d:
+            raise ValueError("test function dimension does not match d")
+        # c(t) once; row k of the outer product is z_k c(t)
+        zc = np.multiply.outer(z, phi.cumulative_all(t))
+        q = np.sum((x - zc) ** 2, axis=-1)
+        return (_TWO_PI * t) ** (-d / 2.0) * np.exp(-q / (2.0 * t))
+
+    return UFunctional(f)
 
 
 def wick_integrand_ufunctional(x, t, i):
     """U-functional of the current's integrand at fixed t:
-    S(delta(x - B(t)))(z phi) * z phi_i(t)."""
-    return UFunctional(
-        lambda z, phi: s_donsker(x, t, phi, z) * z * phi.eval(t, i))
+    S(delta(x - B(t)))(z phi) * z phi_i(t), with (x, t) checked here."""
+    donsker = donsker_ufunctional(x, t).func
+    return UFunctional(lambda z, phi: donsker(z, phi) * z * phi.eval(t, i))
 
 
 def check_integrability(p):

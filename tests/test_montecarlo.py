@@ -594,3 +594,13 @@ class TestSerialization:
     def test_x_is_stored_as_a_tuple_of_floats(self):
         cfg = small_cfg(d=2, x=np.array([1, 0]))
         assert cfg.x == (1.0, 0.0) and all(type(v) is float for v in cfg.x)
+
+    def test_integer_t_and_eps2_write_one_body(self):
+        # T=1 wrote "T": 1 and T=1.0 "T": 1.0, two bodies for one point
+        phi = TestFunction([[0.2]])
+        bodies = [mc_s_transform(small_cfg(T=T, eps2=eps2, n_paths=64,
+                                           n_steps=16), phi).to_json()
+                  for T, eps2 in ((1, 1), (1.0, 1.0), (np.int64(1), 1.0))]
+        assert bodies[0] == bodies[1] == bodies[2]
+        cfg = small_cfg(T=2, eps2=1)
+        assert type(cfg.T) is float and type(cfg.eps2) is float

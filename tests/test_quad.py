@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from hidacur import (IntegrandFailureError, QuadratureBudgetError,
-                     integrate_singular, quad, upper_incomplete_gamma)
+from hidacur import (CurrentParams, IntegrandFailureError,
+                     QuadratureBudgetError, TestFunction,
+                     current_ufunctional, first_chaos_pairing_closed,
+                     integrate_singular, quad, s_current,
+                     second_chaos_pairing_closed, stransform,
+                     upper_incomplete_gamma)
 
 # the three reference integrands with known exact values
 CASES = [
@@ -31,9 +35,10 @@ class TestExamples:
 class TestSweeps:
     # (case, tol, integrand calls, nodes): one call per breadth-first sweep
     # of the open panels; the node counts pin the accepted panel set, whose
-    # damped mesh (case 1) starts at (0, c] = (0, 0.5]
+    # damped mesh (case 1, c = 0.5) starts graded, (0, c/8], (c/8, c/4],
+    # (c/4, c/2], (c/2, c], and at 1e-14 still bisects once
     SWEEPS = [(0, 1e-6, 1, 48), (0, 1e-10, 1, 48),
-              (1, 1e-6, 2, 192), (1, 1e-10, 4, 384),
+              (1, 1e-6, 1, 240), (1, 1e-10, 1, 240), (1, 1e-14, 2, 336),
               (2, 1e-6, 1, 96), (2, 1e-10, 1, 96)]
 
     @staticmethod
@@ -52,7 +57,7 @@ class TestSweeps:
     @pytest.mark.parametrize("case,tol,n_calls,nodes", SWEEPS)
     def test_one_call_per_sweep(self, case, tol, n_calls, nodes):
         res, calls = self.run(case, tol)
-        assert len(calls) == n_calls
+        assert res.sweeps == len(calls) == n_calls
         assert res.node_count == sum(calls) == nodes
 
     @pytest.mark.parametrize("case,tol,n_calls,nodes", SWEEPS)
@@ -64,6 +69,27 @@ class TestSweeps:
         with pytest.raises(QuadratureBudgetError) as excinfo:
             self.run(case, tol)
         assert excinfo.value.best_estimate is not None
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_current_integrals_take_one_sweep(self, d, monkeypatch):
+        # every current integral of a fixed instance starts on a mesh that
+        # already meets its tol: s_current, both closed chaos pairings and
+        # the current's U-functional on the 9-point upper contour
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(integrate_singular(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(stransform, "integrate_singular", recorded)
+        p = CurrentParams([0.8] + [0.0] * (d - 1), 1.0)
+        phi = TestFunction([[0.6, -0.3, 0.25, 0.15, -0.1]] * d)
+        s_current(p, phi, tol=1e-8)
+        first_chaos_pairing_closed(p, phi, 0)
+        second_chaos_pairing_closed(p, phi, 0)
+        contour = 0.125 * np.exp(1j * np.pi * np.arange(9) / 8)
+        current_ufunctional(p, 0, tol=1e-13)(contour, phi)
+        assert [r.sweeps for r in results] == [1, 1, 1, 1]
 
 
 class TestErrorEstimate:

@@ -154,6 +154,16 @@ class TestDonsker:
             with pytest.raises(ValueError, match=match):
                 f()
 
+    @pytest.mark.parametrize("x, t, match", [
+        ([np.inf], 1.0, "x must be finite"), ([0.5], np.nan, "T must be"),
+        ([0.5], 0.0, "T must be"), ([], 1.0, "nonempty")])
+    def test_ufunctional_point_is_checked_when_built(self, x, t, match):
+        # donsker_ufunctional([inf], 1.0) built, and raised only when called
+        for build in (lambda: donsker_ufunctional(x, t),
+                      lambda: wick_integrand_ufunctional(x, t, 0)):
+            with pytest.raises(ValueError, match=match):
+                build()
+
 
 class TestSCurrent:
     def test_zero_phi_gives_zero_vector(self):
@@ -397,8 +407,9 @@ class TestApproachToOrigin:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_node_count_stays_flat(self, d):
-        # the damped mesh starts at r^2 / 2, so each decade closer adds a
-        # few doubling panels, not a deeper bisection toward t = 0
+        # the damped mesh starts at r^2 / 16, graded up to r^2 / 2, so each
+        # decade closer adds a few doubling panels, not a deeper bisection
+        # toward t = 0
         assert max(self.run(d, r)[1] for r in self.RS) <= 4300
 
 
@@ -517,6 +528,10 @@ class TestBatchedZ:
         out = F(np.zeros(3), random_phi(rng, 1, 3))
         assert out.shape == (3,) and not np.any(out)
         assert F(0.0, random_phi(rng, 1, 3)) == 0.0
+        res = _integrate_current(CurrentParams([0.5], 1.0),
+                                 random_phi(rng, 1, 3), 1e-12, 0,
+                                 z=np.zeros(3))
+        assert res.node_count == res.sweeps == 0
         # the existence check still runs at z = 0
         with pytest.raises(NonexistenceError):
             current_ufunctional(CurrentParams([0.0, 0.0], 1.0), 0)(
