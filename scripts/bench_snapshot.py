@@ -69,8 +69,8 @@ WORKLOADS = ("closed-form", "chaos-growth", "mc-grid")
 SEED = 1
 # the closed-form layer rows' phi, the same 5 modes in every component
 LAYER_PHI = [0.6, -0.3, 0.25, 0.15, -0.1]
-# criterion: (config, time gate in s of tests/test_acceptance.py); the
-# config names its kind
+# criterion: (config, time gate in s); the config names its kind.  The one
+# table of acceptance gates: tests/test_acceptance.py reads and enforces it
 CRITERIA = {
     1: ("01_gamma_check.json", 5.0),
     2: ("02_existence.json", 10.0),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnstableDerivativeError
+from .errors import UnstableDerivativeError, check_int
 # not called here: perfbench's tracer test expects chaos to bind this name
 from .quad import integrate_singular  # noqa: F401
 from .stransform import _integrate_current
@@ -56,13 +56,12 @@ def extract_chaos_pairing(F, phi, n):
 
     F is called once: at s = 0 for n = 0, otherwise on the N/2 + 1 points
     of the contour's upper half (the lower half is their conjugate for a
-    real phi).  Raises ValueError for n >= N/2 and UnstableDerivativeError
-    for a non-finite F(0) at n = 0, or at n >= 1 unless the full and half
-    sums agree to 1e-6 relative (floored at 1e-9 absolute), so a NaN sample
-    raises at every order.
+    real phi).  Raises ValueError unless n is an integer in [0, N/2), and
+    UnstableDerivativeError for a non-finite F(0) at n = 0, or at n >= 1
+    unless the full and half sums agree to 1e-6 relative (floored at 1e-9
+    absolute), so a NaN sample raises at every order.
     """
-    if not 0 <= n < _N_CONTOUR // 2:
-        raise ValueError(f"order must be in [0, {_N_CONTOUR // 2}), got {n}")
+    n = check_int("order", n, 0, _N_CONTOUR // 2)
     if n == 0:
         value = complex(F(0.0, phi)).real
         if not np.isfinite(value):

@@ -11,7 +11,8 @@ Exit codes:
     0   success
     2   bad configuration (unreadable or non-strict JSON, bad kind or
         values, a key or --seed that the kind, an mc case or an inline
-        phi does not take, or a seed that is not an integer in [0, 2^64))
+        phi does not take, a seed that is not an integer in [0, 2^64), or
+        a check that would run no rows)
     3   numeric failure (budget exhausted, unstable derivative, or a
         requested check that did not meet its tolerance)
     4   evaluation at a nonexistent object (x = 0 with d > 1) requested as

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_int, check_positive
+
 __all__ = ["DivergenceReport", "divergence_scan", "default_cutoffs"]
 
 
@@ -59,15 +61,14 @@ def _lstsq_1d(u, y, w):
 
 def divergence_scan(d, T, cutoffs):
     """Classify the cutoff masses as convergent or divergent with a rate."""
+    d, T = check_int("d", d, 1), check_positive("T", T)
     cutoffs = np.asarray(cutoffs, dtype=float)
     if cutoffs.size < 4:
         raise ValueError("need at least 4 cutoffs")
-    if not (0.0 < T < np.inf and np.all((0.0 < cutoffs) & (cutoffs < T))):
-        raise ValueError(f"need finite T > 0, cutoffs inside (0, T); T={T}")
+    if not np.all((0.0 < cutoffs) & (cutoffs < T)):
+        raise ValueError(f"need cutoffs inside (0, T); T={T}")
     if np.any(np.diff(cutoffs) >= 0.0):
         raise ValueError("cutoffs must be strictly decreasing")
-    if d < 1 or d != int(d):
-        raise ValueError(f"d must be a positive integer, got {d}")
 
     masses = _mass(d, T, cutoffs)
 
@@ -98,6 +99,6 @@ def divergence_scan(d, T, cutoffs):
         rate = slope
         verdict = "divergent" if slope < -0.01 else "convergent"
 
-    return DivergenceReport(d=int(d), T=float(T), cutoffs=cutoffs, masses=masses,
+    return DivergenceReport(d=d, T=T, cutoffs=cutoffs, masses=masses,
                             model=best, rate=float(rate), residual=float(resid),
                             verdict=verdict)

@@ -1,4 +1,34 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument rules:
+check_int for an integer, check_positive for a positive real, each refusing
+a bool (JSON true is no count and no time).  Imports nothing from hidacur."""
+
+import math
+import numbers
+
+
+def is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_int(name, value, lo, hi=None, error=ValueError):
+    """int(value) for an Integral in [lo, hi) (hi None: no upper end) that
+    is not a bool, else error (IndexError for a component index)."""
+    if (is_real(value) and isinstance(value, numbers.Integral)
+            and lo <= value and (hi is None or value < hi)):
+        return int(value)
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+    raise error(f"{name} must be an integer {span}, got {value!r}")
+
+
+def check_positive(name, value):
+    """float(value) for a finite Real > 0 that is not a bool, else ValueError."""
+    if is_real(value) and 0.0 < value < math.inf:
+        return float(value)
+    raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_seed(seed):
+    return check_int("seed", seed, 0, 2 ** 64)
 
 
 class NonexistenceError(ValueError):

@@ -3,11 +3,12 @@
 A config's keys are its runner's keyword parameters, so Python refuses a
 key the runner does not take, as it refuses a stray key of an mc case
 (_mc_case) or an inline phi (TestFunction); from_json refuses one in a phi
-file.  Every seed, null and true included, passes montecarlo._check_seed.
-Each runner returns a JSON-able record with outputs and error estimates,
-and a pass flag if it ran a check (a single stransform or mollified
-evaluation runs none); run_experiment echoes the inputs.  The default
-parameters reproduce the acceptance grid exactly.
+file.  Every seed, null and true included, passes errors.check_seed, and
+every count and tolerance errors.check_int or errors.check_positive.  Each
+runner returns a JSON-able record with outputs and error estimates, and a
+pass flag if it ran a check (a single stransform or mollified evaluation
+runs none); run_experiment refuses a check with no rows and echoes the
+inputs.  The default parameters reproduce the acceptance grid exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from . import __version__
 from .chaos import (extract_chaos_pairing, first_chaos_pairing_closed,
                     second_chaos_pairing_closed)
 from .diagnostics import default_cutoffs, divergence_scan
-from .errors import NonexistenceError
-from .montecarlo import MCConfig, _check_seed, mc_s_transform
+from .errors import NonexistenceError, check_int, check_positive, check_seed
+from .montecarlo import MCConfig, mc_s_transform
 from .quad import integrate_singular
 from .schwartz import TestFunction
 from .special import singular_mass_closed
@@ -116,6 +117,7 @@ def _worst(values):
 def run_gamma_check(d_values=(1, 2, 3, 4, 5), r_values=(0.5, 1.0, 2.0),
                     T_values=(0.5, 1.0, 2.0), rtol=1e-9):
     """Closed-form singular mass vs direct adaptive quadrature (criterion 1)."""
+    rtol = check_positive("rtol", rtol)
     rows = []
     for d in d_values:
         for r in r_values:
@@ -157,11 +159,12 @@ def run_mollified(x, T, phi, eps2, tol=1e-10):
 def run_existence(seed=20260201, tol=1e-8, n_nonzero=20, n_origin_d1=5):
     """Random sweep of the existence region plus the nonexistence wall
     (criterion 2)."""
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_seed(seed))
     rows = []
-    instances = [_random_instance(rng, 2.0) for _ in range(n_nonzero)]
+    instances = [_random_instance(rng, 2.0)
+                 for _ in range(check_int("n_nonzero", n_nonzero, 0))]
     instances += [(1, np.zeros(1), _random_phi(rng, 1))
-                  for _ in range(n_origin_d1)]
+                  for _ in range(check_int("n_origin_d1", n_origin_d1, 0))]
     for d, x, phi in instances:
         values, [res] = s_current(CurrentParams(x, 1.0), phi, tol=tol,
                                   full_output=True)
@@ -184,8 +187,8 @@ def run_existence(seed=20260201, tol=1e-8, n_nonzero=20, n_origin_d1=5):
 def _chaos_instances(seed, n_instances):
     """Yield (d, x, i, p, phi, F) per random instance: F is the
     U-functional of component i of the current at x, T = 1."""
-    rng = np.random.default_rng(_check_seed(seed))
-    for _ in range(n_instances):
+    rng = np.random.default_rng(check_seed(seed))
+    for _ in range(check_int("n_instances", n_instances, 1)):
         d, x, phi = _random_instance(rng, 1.5)
         i = int(rng.integers(0, d))
         p = CurrentParams(x, 1.0)
@@ -197,13 +200,13 @@ def run_chaos(order=1, **knobs):
 
     "order": 1 (default) checks the first-chaos pairing; "order": 2 runs the
     second-chaos convention arbitration."""
-    if order not in (1, 2):
-        raise ValueError(f"chaos order must be 1 or 2, not {order!r}")
+    check_int("order", order, 1, 3)
     return (_first_chaos if order == 1 else run_second_chaos)(**knobs)
 
 
 def _first_chaos(seed=20260301, n_instances=50, atol=1e-8):
     """First-chaos pairing, numeric extraction vs closed form (criterion 3)."""
+    atol = check_positive("atol", atol)
     rows = []
     for d, x, i, p, phi, F in _chaos_instances(seed, n_instances):
         c0 = extract_chaos_pairing(F, phi, 0)
@@ -225,6 +228,7 @@ def run_second_chaos(seed=20260401, n_instances=50, atol=1e-6):
     Asserts the derivative convention against the numeric second derivative
     and records (without asserting) the ratio of that numeric value to the
     printed-kernel convention, expected -2."""
+    atol = check_positive("atol", atol)
     rows = []
     for d, x, i, p, phi, F in _chaos_instances(seed, n_instances):
         c2 = extract_chaos_pairing(F, phi, 2)
@@ -264,8 +268,10 @@ def run_mc(cases=MC_ACCEPTANCE_CASES, seed=_CASE_SEEDS, n_paths=200000,
     any runs.  A seed reseeds case k with (seed + k) mod 2^64.
     stderr_fraction bounds each stderr as a fraction of the closed-form
     magnitude; null disables that check (sensible for quick, small-N runs)."""
+    if stderr_fraction is not None:
+        stderr_fraction = check_positive("stderr_fraction", stderr_fraction)
     if seed is not _CASE_SEEDS:
-        seed = _check_seed(seed)
+        seed = check_seed(seed)
         cases = [dict(c, seed=(seed + k) % 2 ** 64)
                  for k, c in enumerate(cases)]
     runs = [_mc_case(n_paths, n_steps, **case) for case in cases]
@@ -315,10 +321,10 @@ def run_ubound(seed=20260701, n_samples=100,
                radii=tuple(np.geomspace(2.0, 12.0, 8)), angles_per_radius=16):
     """Growth-bound fits on the Donsker delta and the proof integrand
     (criterion 7): normalized C2 must not exceed the analytic 1/2."""
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_seed(seed))
     limit = 0.5 * (1.0 + 1e-6)
     rows = []
-    for trial in range(n_samples):
+    for trial in range(check_int("n_samples", n_samples, 1)):
         d, x, phi = _random_instance(rng, 1.5)
         t = rng.uniform(0.5, 2.0)
         if trial % 2 == 0:
@@ -357,6 +363,8 @@ def run_experiment(kind, knobs):
         raise ValueError(f"config is for kind {knobs['kind']!r}, not {kind!r}")
     t0 = time.perf_counter()
     out = EXPERIMENT_KINDS[kind](**kwargs)
+    if "passed" in out and not out["rows"]:  # a check that ran nothing
+        raise ValueError(f"{kind} ran no check: its config gives no rows")
     out["kind"] = kind
     out["inputs"] = knobs
     out["wall_time_s"] = time.perf_counter() - t0

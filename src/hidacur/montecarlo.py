@@ -58,7 +58,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .stransform import CurrentParams, _is_int
+from .errors import check_int, check_positive, check_seed
+from .stransform import CurrentParams
 
 __all__ = ["MCConfig", "MCEstimate", "simulate_increments",
            "mollified_current_sample", "mc_s_transform", "default_threads"]
@@ -75,13 +76,6 @@ SCAN_STEPS = 16
 SCAN_BLOCKS = 128
 
 
-def _check_seed(seed):
-    """seed if it is an integer in [0, 2^64), else ValueError."""
-    if not (_is_int(seed) and 0 <= seed < 2 ** 64):
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    return seed
-
-
 @dataclass(frozen=True)
 class MCConfig:
     d: int
@@ -94,19 +88,13 @@ class MCConfig:
 
     def __post_init__(self):
         for name in ("d", "n_paths", "n_steps"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}")
+            check_int(name, getattr(self, name), 1)
         p = CurrentParams(self.x, self.T)
         if p.d != self.d:
             raise ValueError(f"x must have length d={self.d}")
-        if self.n_paths < 1 or self.n_steps < 1:
-            raise ValueError("n_paths and n_steps must be >= 1")
-        _check_seed(self.seed)
-        if not 0.0 < self.eps2 < math.inf:
-            raise ValueError(f"eps2 must be finite and > 0, got {self.eps2}")
+        check_seed(self.seed)
         for name, value in (("x", tuple(p.x.tolist())), ("T", p.T),
-                            ("eps2", float(self.eps2))):
+                            ("eps2", check_positive("eps2", self.eps2))):
             object.__setattr__(self, name, value)
 
     @property

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrandFailureError, QuadratureBudgetError
+from .errors import (IntegrandFailureError, QuadratureBudgetError,
+                     check_positive)
 
 __all__ = ["QuadResult", "integrate_singular"]
 
@@ -90,12 +91,9 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None):
     non-finite integrand value.  A scalar integrand gets a Python float or
     complex value and a float error.
     """
-    if not (T > 0.0 and np.isfinite(T)):
-        raise ValueError(f"T must be finite and > 0, got {T}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    T, tol = check_positive("T", T), check_positive("tol", tol)
     p = float(sing_exponent)
-    damped = bool(damping and damping > 0.0)
+    damped = damping is not None and bool(check_positive("damping", damping))
     if p <= -1.0 and not damped:
         raise ValueError(
             "sing_exponent <= -1 requires a positive damping constant; "

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import check_int
+
 __all__ = [
     "TestFunction",
     "hermite_values",
@@ -147,10 +149,6 @@ class TestFunction:
     def n_basis(self):
         return self._coef.shape[1]
 
-    def _check_index(self, i):
-        if not 0 <= i < self.dimension:
-            raise IndexError(f"component index {i} out of range for d={self.dimension}")
-
     def _contract(self, table):
         # coef @ table over the basis axis, shape (d,) + table.shape[1:];
         # matmul on a 2-d view costs a fifth of np.tensordot's overhead
@@ -159,7 +157,7 @@ class TestFunction:
 
     def eval(self, t, i):
         """phi_i(t); t may be a scalar or array."""
-        self._check_index(i)
+        check_int("component index", i, 0, self.dimension, IndexError)
         return self.eval_all(t)[i]
 
     def eval_all(self, t):
@@ -168,7 +166,7 @@ class TestFunction:
 
     def cumulative(self, t, i):
         """int_0^t phi_i(s) ds, exact via the Hermite antiderivative recurrence."""
-        self._check_index(i)
+        check_int("component index", i, 0, self.dimension, IndexError)
         return self.cumulative_all(t)[i]
 
     def cumulative_all(self, t):

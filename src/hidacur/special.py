@@ -9,6 +9,8 @@ recurrence Gamma(a+1, x) = a Gamma(a, x) + x^a e^-x: positive terms, a few ulps
 import math
 import sys
 
+from .errors import check_int, check_positive
+
 __all__ = ["upper_incomplete_gamma", "singular_mass_closed"]
 
 
@@ -18,9 +20,7 @@ def upper_incomplete_gamma(a, x):
     value that overflows, and for a normal-float value lost to e^-x = 0."""
     # a top-level import, run while stransform loads, slows `import hidacur` 10%
     from scipy.special import erfcx, exp1
-    a, x = float(a), float(x)
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"x must be finite and > 0, got {x}")
+    a, x = float(a), check_positive("x", x)
     if not (a >= -0.5 and (2.0 * a).is_integer()):
         raise ValueError(f"parameter a={a} is not d/2 - 1 for a dimension d")
     s, e = math.sqrt(x), math.exp(-x)
@@ -47,12 +47,10 @@ def singular_mass_closed(d, r, T):
     """int_0^T t^{-d/2} exp(-r^2 / (2 t)) dt = 2^{d/2-1} r^{2-d} Gamma(d/2 - 1,
     r^2 / (2 T)).  Requires r > 0: the identity fails at the origin, where the
     divergence diagnostics apply."""
-    if d < 1 or d != int(d):
-        raise ValueError(f"d must be a positive integer, got {d}")
-    if not r > 0.0:
+    d = check_int("d", d, 1)
+    if r == 0.0:
         raise ValueError("r must be > 0; the closed form is invalid at the origin")
-    if not T > 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
+    r, T = check_positive("r", r), check_positive("T", T)
     a = d / 2.0 - 1.0
     try:
         mass = 2.0 ** a * r ** (2.0 - d) * upper_incomplete_gamma(a, r * r / (2.0 * T))

@@ -30,14 +30,14 @@ on z and are computed once.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .diagnostics import _lstsq_1d
-from .errors import IntegrandFailureError, NonexistenceError
+from .errors import (IntegrandFailureError, NonexistenceError, check_int,
+                     check_positive, is_real)
 from .quad import QuadResult, integrate_singular
 from .special import singular_mass_closed
 
@@ -58,11 +58,6 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 
-def _is_int(value):
-    """An integer that is not a bool (JSON true is not a count or a seed)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True, eq=False)
 class CurrentParams:
     """One point (x, T), d = len(x); every check of a point is made here."""
@@ -71,15 +66,15 @@ class CurrentParams:
     T: float
 
     def __init__(self, x, T):
+        if not all(map(is_real, np.ravel(np.asarray(x, dtype=object)))):
+            raise ValueError(f"x must hold real numbers, not bools, got {x!r}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.ndim != 1 or x.size == 0:
             raise ValueError(f"x must be a nonempty vector, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError(f"x must be finite, got {x.tolist()}")
-        if not 0.0 < T < np.inf:
-            raise ValueError(f"T must be finite and > 0, got {T}")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "T", float(T))
+        object.__setattr__(self, "T", check_positive("T", T))
 
     @property
     def d(self):
@@ -167,7 +162,7 @@ def _integrate_current(p, phi, tol, i=None, z=None, eps2=0.0, order=None):
     if phi.dimension != d:
         raise ValueError("test function dimension does not match d")
     if i is not None:
-        phi._check_index(i)
+        check_int("component index", i, 0, d, IndexError)
     if z is not None and not np.any(z):  # the checks above still hold at z = 0
         return QuadResult(np.zeros_like(z), np.zeros(np.shape(z)), 0, 0)
     # z as a column for the (m, n) rows, x as a column for c's (d, n) or
@@ -225,8 +220,7 @@ def s_current_mollified(p, phi, eps2, tol=1e-10, full_output=False):
     in the kernel, so the integrand is bounded on (0, T].  full_output as
     in s_current.
     """
-    if not 0.0 < eps2 < np.inf:
-        raise ValueError(f"eps2 must be finite and > 0, got {eps2}")
+    eps2 = check_positive("eps2", eps2)
     res = _integrate_current(p, phi, tol, eps2=eps2)
     return (res.value, [res]) if full_output else res.value
 
@@ -235,7 +229,8 @@ def current_ufunctional(p, i, tol=1e-12):
     """Component i of the current S-transform as a U-functional in z.
 
     A vector of z is integrated in one quadrature, each z a row held to tol
-    on one shared mesh."""
+    on one shared mesh.  i is checked against p.d here."""
+    check_int("component index", i, 0, p.d, IndexError)
 
     def f(z, phi):
         return _integrate_current(p, phi, tol, i,
@@ -262,8 +257,9 @@ def donsker_ufunctional(x, t):
 
 def wick_integrand_ufunctional(x, t, i):
     """U-functional of the current's integrand at fixed t:
-    S(delta(x - B(t)))(z phi) * z phi_i(t), with (x, t) checked here."""
+    S(delta(x - B(t)))(z phi) * z phi_i(t), with (x, t) and i checked here."""
     donsker = donsker_ufunctional(x, t).func
+    check_int("component index", i, 0, np.size(x), IndexError)
     return UFunctional(lambda z, phi: donsker(z, phi) * z * phi.eval(t, i))
 
 
@@ -292,9 +288,7 @@ def fit_ufunctional_bound(F, phi, radii, angles_per_radius=16):
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or not np.all((0.0 < radii) & (radii < np.inf)):
         raise ValueError("radii must be nonempty, finite and positive")
-    if not (_is_int(angles_per_radius) and angles_per_radius >= 1):
-        raise ValueError("angles_per_radius must be an integer >= 1, "
-                         f"got {angles_per_radius!r}")
+    check_int("angles_per_radius", angles_per_radius, 1)
     nrm2 = phi.combined_norm() ** 2
     thetas = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
     z = (radii[:, None] * np.exp(1j * thetas)).ravel()

@@ -1,11 +1,13 @@
 """Acceptance suite: one test per criterion, each driven by its shipped
-config, each emitting a single pass/fail line.
+config, each emitting a single pass/fail line.  The configs and time gates
+are scripts/bench_snapshot.py's CRITERIA table, which the snapshot reports.
 
 Criterion 8 reruns criterion 5's config under HIDACUR_THREADS=1 and =8 and
 compares the serialized MCEstimate bodies bit for bit; the thread-1 run is
 shared with criterion 5 to avoid paying for the heavy grid three times.
 """
 
+import importlib.util
 import json
 import os
 import time
@@ -15,22 +17,34 @@ import pytest
 
 from hidacur.experiments import run_experiment
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
-def load_config(name):
-    with open(os.path.join(CONFIG_DIR, name)) as fh:
-        return json.load(fh)
+def _criteria():
+    path = os.path.join(ROOT, "scripts", "bench_snapshot.py")
+    spec = importlib.util.spec_from_file_location("bench_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CRITERIA
 
 
-def run_config(kind, name, env_threads=None):
-    knobs = load_config(name)
+# criterion: (config, time gate in s)
+CRITERIA = _criteria()
+
+
+def run_criterion(n, env_threads=None):
+    """Record of criterion n's config, run as the kind it names, with its
+    wall time as "elapsed" and its time gate as "gate"."""
+    name, gate = CRITERIA[n]
+    with open(os.path.join(ROOT, "configs", name)) as fh:
+        knobs = json.load(fh)
     env = {} if env_threads is None else {"HIDACUR_THREADS": str(env_threads)}
     with mock.patch.dict(os.environ, env):
         t0 = time.perf_counter()
-        record = run_experiment(kind, knobs)
+        record = run_experiment(knobs["kind"], knobs)
         record["elapsed"] = time.perf_counter() - t0
-        return record
+    record["gate"] = gate
+    return record
 
 
 def report(n, ok, detail):
@@ -39,22 +53,22 @@ def report(n, ok, detail):
 
 @pytest.fixture(scope="module")
 def mc_threads1():
-    return run_config("mc", "05_mc_grid.json", env_threads=1)
+    return run_criterion(5, env_threads=1)
 
 
 def test_criterion_1_gamma_identity():
-    rec = run_config("gamma-check", "01_gamma_check.json")
-    ok = rec["passed"] and rec["elapsed"] < 5.0
+    rec = run_criterion(1)
+    ok = rec["passed"] and rec["elapsed"] < rec["gate"]
     report(1, ok, f"worst rel error {rec['worst_rel_error']:.3e} "
                   f"(limit 1e-9) on 45-point grid in {rec['elapsed']:.2f}s")
     assert ok
 
 
 def test_criterion_2_existence_region():
-    rec = run_config("stransform", "02_existence.json")
+    rec = run_criterion(2)
     worst = max(r["err"] for r in rec["rows"])
     refused = all(r["refused"] for r in rec["refusals"])
-    ok = rec["passed"] and rec["elapsed"] < 10.0
+    ok = rec["passed"] and rec["elapsed"] < rec["gate"]
     report(2, ok, f"{len(rec['rows'])} finite instances, worst quadrature "
                   f"error {worst:.2e} (limit 1e-8); origin d=2,3 refused: "
                   f"{refused}; {rec['elapsed']:.2f}s")
@@ -62,8 +76,8 @@ def test_criterion_2_existence_region():
 
 
 def test_criterion_3_first_chaos():
-    rec = run_config("chaos", "03_chaos_order1.json")
-    ok = rec["passed"] and rec["elapsed"] < 10.0
+    rec = run_criterion(3)
+    ok = rec["passed"] and rec["elapsed"] < rec["gate"]
     report(3, ok, f"50 instances, worst |numeric - closed| "
                   f"{rec['worst_order1_diff']:.2e} (limit 1e-8), worst "
                   f"order-0 {rec['worst_order0']:.2e} (limit 1e-12); "
@@ -72,9 +86,9 @@ def test_criterion_3_first_chaos():
 
 
 def test_criterion_4_second_chaos_arbitration():
-    rec = run_config("chaos", "04_chaos_order2.json")
+    rec = run_criterion(4)
     ratio = rec["mean_ratio_derivative_to_paper"]
-    ok = rec["passed"] and rec["elapsed"] < 20.0
+    ok = rec["passed"] and rec["elapsed"] < rec["gate"]
     report(4, ok, f"50 instances, worst diff vs derivative convention "
                   f"{rec['worst_diff']:.2e} (limit 1e-6); measured "
                   f"numeric/paper ratio {ratio:.6f} "
@@ -86,7 +100,7 @@ def test_criterion_4_second_chaos_arbitration():
 def test_criterion_5_monte_carlo_grid(mc_threads1):
     rec = mc_threads1
     worst_z = max(max(r["z"]) for r in rec["rows"])
-    ok = rec["passed"] and rec["elapsed"] < 120.0
+    ok = rec["passed"] and rec["elapsed"] < rec["gate"]
     report(5, ok, f"4 grid cases, worst |z| {worst_z:.2f} (limit 4), "
                   f"stderr within 2% of closed magnitude everywhere "
                   f"applicable; {rec['elapsed']:.1f}s")
@@ -94,9 +108,9 @@ def test_criterion_5_monte_carlo_grid(mc_threads1):
 
 
 def test_criterion_6_divergence_classification():
-    rec = run_config("diverge", "06_diverge.json")
+    rec = run_criterion(6)
     d1 = next(r for r in rec["rows"] if r["d"] == 1)
-    ok = rec["passed"] and rec["elapsed"] < 1.0
+    ok = rec["passed"] and rec["elapsed"] < rec["gate"]
     report(6, ok, f"verdicts convergent iff d=1 over d=1..6; d=1 limit "
                   f"{d1['rate']:.12f} (2*sqrt(T) to 1e-9); exponents within "
                   f"0.02; {rec['elapsed']:.2f}s")
@@ -104,15 +118,15 @@ def test_criterion_6_divergence_classification():
 
 
 def test_criterion_7_growth_bound():
-    rec = run_config("ubound", "07_ubound.json")
-    ok = rec["passed"] and rec["elapsed"] < 5.0
+    rec = run_criterion(7)
+    ok = rec["passed"] and rec["elapsed"] < rec["gate"]
     report(7, ok, f"100 samples, worst normalized C2 {rec['worst_C2']:.4f} "
                   f"(limit 0.5*(1+1e-6)); {rec['elapsed']:.2f}s")
     assert ok
 
 
 def test_criterion_8_parallel_determinism(mc_threads1):
-    rec8 = run_config("mc", "05_mc_grid.json", env_threads=8)
+    rec8 = run_criterion(5, env_threads=8)
     bodies1 = [r["estimate_body"] for r in mc_threads1["rows"]]
     bodies8 = [r["estimate_body"] for r in rec8["rows"]]
     ok = bodies1 == bodies8

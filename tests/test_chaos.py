@@ -124,6 +124,13 @@ class TestExtraction:
                 extract_chaos_pairing(donsker_ufunctional([0.5], 1.0),
                                       random_phi(rng, 1, 3), n)
 
+    @pytest.mark.parametrize("n", [True, 1.0])
+    def test_order_must_be_an_integer(self, rng, n):
+        # True met numpy's broadcast error, 1.0 an IndexError from the FFT
+        F = current_ufunctional(CurrentParams([0.7, -0.4], 1.0), 1)
+        with pytest.raises(ValueError, match="order must be an integer"):
+            extract_chaos_pairing(F, random_phi(rng, 2, 5), n)
+
 
 class TestFirstChaosClosed:
     def test_zero_phi(self):

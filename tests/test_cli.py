@@ -96,7 +96,7 @@ class TestExitCodes:
             "n_paths": 64, "n_steps": 16, "stderr_fraction": None,
             field: True})
         assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert f"{field} must be an integer, got True" in (
+        assert f"{field} must be an integer >= 1, got True" in (
             capsys.readouterr().err)
 
     @pytest.mark.parametrize("angles", [2.5, True, 0],
@@ -146,7 +146,71 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "c.json", {"order": order,
                                                 "n_instances": 2})
         assert main(["chaos", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert f"not {order}" in capsys.readouterr().err
+        assert f"order must be an integer in [1, 3), got {order}" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind, knobs, shown", [
+        ("stransform", {"x": [0.5], "T": True, "phi": phi_ref([[1.0]])},
+         "T must be finite and > 0, got True"),
+        ("diverge", {"T": True}, "T must be finite and > 0, got True"),
+        ("mollified", {"x": [0.5], "T": 1.0, "phi": phi_ref([[1.0]]),
+                       "eps2": True}, "eps2 must be finite and > 0, got True"),
+        ("stransform", {"x": [0.5], "T": 1.0, "phi": phi_ref([[1.0]]),
+                        "tol": True}, "tol must be finite and > 0, got True"),
+        ("chaos", {"order": True, "n_instances": 2},
+         "order must be an integer in [1, 3), got True"),
+        ("chaos", {"order": 2, "n_instances": 3, "atol": True},
+         "atol must be finite and > 0, got True"),
+        ("gamma-check", {"d_values": [1], "rtol": True},
+         "rtol must be finite and > 0, got True"),
+        ("mc", {"n_paths": 64, "n_steps": 16, "stderr_fraction": True},
+         "stderr_fraction must be finite and > 0, got True"),
+        ("stransform", {"x": [True], "T": 1.0, "phi": phi_ref([[1.0]])},
+         "x must hold real numbers, not bools, got [True]"),
+        ("gamma-check", {"d_values": [True, 2.0]},
+         "d must be an integer >= 1, got True"),
+        ("gamma-check", {"d_values": [2.0]},
+         "d must be an integer >= 1, got 2.0"),
+        ("diverge", {"d_values": [True, 2.0]},
+         "d must be an integer >= 1, got True"),
+        ("diverge", {"d_values": [2.0]}, "d must be an integer >= 1, got 2.0"),
+        ("ubound", {"n_samples": True},
+         "n_samples must be an integer >= 1, got True"),
+        ("stransform", {"sweep": True, "n_nonzero": True},
+         "n_nonzero must be an integer >= 0, got True"),
+    ], ids=["stransform-T-true", "diverge-T-true", "mollified-eps2-true",
+            "stransform-tol-true", "chaos-order-true", "chaos-atol-true",
+            "gamma-check-rtol-true", "mc-stderr-fraction-true",
+            "stransform-x-true", "gamma-check-d-true", "gamma-check-d-2.0",
+            "diverge-d-true", "diverge-d-2.0", "ubound-n-samples-true", "stransform-sweep-n-nonzero-true"])
+    def test_bool_or_out_of_range_value_names_its_key(
+            self, tmp_path, capsys, kind, knobs, shown):
+        # each ran before: JSON true as 1 (atol true passed criterion 4 at
+        # tolerance 1), d 2.0 as 2, and 0 instances as a passed check
+        cfg = write_config(tmp_path, "c.json", knobs)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert shown in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, knobs, shown", [
+        ("chaos", {"order": 1, "n_instances": 0}, "n_instances"),
+        ("chaos", {"order": 2, "n_instances": -3}, "n_instances"),
+        ("ubound", {"n_samples": 0}, "n_samples"),
+        ("stransform", {"sweep": True, "n_nonzero": 0, "n_origin_d1": 0},
+         "stransform ran no check"),
+        ("diverge", {"d_values": []}, "diverge ran no check"),
+        ("gamma-check", {"d_values": []}, "gamma-check ran no check"),
+        ("mc", {"cases": []}, "mc ran no check"),
+    ], ids=["chaos-0", "chaos-minus-3", "ubound-0", "stransform-sweep-0",
+            "diverge-empty", "gamma-check-empty", "mc-empty"])
+    def test_check_that_runs_nothing_is_config_error(
+            self, tmp_path, capsys, kind, knobs, shown):
+        # each printed "<kind>: pass" with no rows and exited 0; 0 instances
+        # and 0 samples are refused as counts, before any work
+        cfg = write_config(tmp_path, "c.json", knobs)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"kind {kind!r}" in err and shown in err
+        assert not (tmp_path / f"{kind}.json").exists()
 
     @pytest.mark.parametrize("kind, knobs, argv, shown", [
         ("ubound", {"n_samples": 2, "seed": None}, [], "None"),

@@ -588,7 +588,8 @@ class TestSerialization:
     @pytest.mark.parametrize("field, value", [
         ("n_paths", 0), ("n_steps", 0), ("n_paths", -4)])
     def test_count_below_one_rejected(self, field, value):
-        with pytest.raises(ValueError, match="n_paths and n_steps"):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be an integer >= 1, got {value}"):
             small_cfg(**{field: value})
 
     def test_x_is_stored_as_a_tuple_of_floats(self):

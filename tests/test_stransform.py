@@ -164,6 +164,24 @@ class TestDonsker:
             with pytest.raises(ValueError, match=match):
                 build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: current_ufunctional(CurrentParams([0.5, 0.2], 1.0), 5),
+        lambda: current_ufunctional(CurrentParams([0.5, 0.2], 1.0), True),
+        lambda: wick_integrand_ufunctional([0.5], 1.0, -1),
+        lambda: wick_integrand_ufunctional([0.5, 0.2], 1.0, 2),
+    ], ids=["current-5", "current-true", "wick-minus-1", "wick-d"])
+    def test_ufunctional_index_is_checked_when_built(self, build):
+        # each built, and raised only when called
+        with pytest.raises(IndexError, match="component index"):
+            build()
+
+    @pytest.mark.parametrize("x", [[True], [0.5, True], np.array([False])],
+                             ids=["true", "mixed", "bool-array"])
+    def test_bool_entry_of_x_is_refused(self, x):
+        # CurrentParams([True], 1.0).x was [1.], a point at x = 1
+        with pytest.raises(ValueError, match="x must hold real numbers"):
+            CurrentParams(x, 1.0)
+
 
 class TestSCurrent:
     def test_zero_phi_gives_zero_vector(self):
@@ -340,7 +358,7 @@ class TestComponentIndex:
     phi.eval and phi.cumulative do."""
 
     @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("index", ["-1", "d"])
+    @pytest.mark.parametrize("index", ["-1", "d", "true"])
     @pytest.mark.parametrize("call", [
         lambda p, phi, i: first_chaos_pairing_closed(p, phi, i),
         lambda p, phi, i: second_chaos_pairing_closed(p, phi, i),
@@ -351,9 +369,10 @@ class TestComponentIndex:
             "ufunctional-z0-vector"])
     def test_out_of_range_index_raises(self, rng, d, index, call):
         # i = -1 read component d - 1, i = d raised numpy's IndexError from
-        # inside the quadrature, and at z = 0 returned 0j
+        # inside the quadrature, and at z = 0 returned 0j; at d = 2, i = True
+        # read every component (the closed pairings returned a 1 x 2 array)
         p = CurrentParams(rng.uniform(0.3, 1.0, size=d), 1.0)
-        i = d if index == "d" else -1
+        i = {"-1": -1, "d": d, "true": True}[index]
         with pytest.raises(IndexError, match="component index"):
             call(p, random_phi(rng, d, 4), i)
 
