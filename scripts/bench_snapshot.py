@@ -17,8 +17,12 @@ holds:
     hermite_values(6, .) and of eval_and_cumulative on 144 nodes in (0, 1],
     of s_current and s_current_mollified (eps2 0.01) at tol 1e-8, and of
     the first and second closed chaos pairings of component 0, each
-    quadrature with its nodes and sweeps (integrand calls): median and
-    quartiles of 15 interleaved repeats, each the mean of a batch of calls;
+    quadrature with its nodes and sweeps (integrand calls), and of one
+    "quad_sweep", integrate_singular on that s_current's mesh (damping
+    0.32, T = 1, tol 1e-8) with an integrand that returns a precomputed
+    array of ones, one row and three: the fixed cost of one sweep; median
+    and quartiles of 15 interleaved repeats, each the mean of a batch of
+    calls;
   * "growth_fit_layers": on d in {1, 2, 3} and LAYER_PHI in every component
     scaled to unit L^2 norm, the us per call of sup_norm and of
     fit_ufunctional_bound on the Donsker delta and on the current's
@@ -60,7 +64,7 @@ from hidacur import (CurrentParams, TestFunction,  # noqa: E402
                      first_chaos_pairing_closed, s_current,
                      s_current_mollified, second_chaos_pairing_closed,
                      stransform)
-from hidacur import montecarlo  # noqa: E402
+from hidacur import integrate_singular, montecarlo  # noqa: E402
 from hidacur.experiments import (MC_ACCEPTANCE_CASES,  # noqa: E402
                                  mc_acceptance_phi, run_experiment)
 from hidacur.schwartz import hermite_values  # noqa: E402
@@ -125,10 +129,25 @@ def interleaved(fns, repeats, batch=1):
     return samples
 
 
+def quad_sweep(k):
+    """The row of one integrate_singular call on s_current's mesh at
+    |x| = 0.8, T = 1, whose integrand returns k rows of precomputed ones
+    (a scalar for k = 1): one sweep, the quadrature's own work alone."""
+    n = integrate_singular(np.ones_like, 1.0, 0.0, 1e-8, damping=0.32).node_count
+    ones = np.ones((k, n) if k > 1 else n)
+
+    def fn():
+        return integrate_singular(lambda t: ones, 1.0, 0.0, 1e-8, damping=0.32)
+
+    res = fn()
+    return {"layer": "quad_sweep", "d": None, "rows": k,
+            "nodes": res.node_count, "sweeps": res.sweeps, "fn": fn}
+
+
 def closed_form_layers(repeats=15, batch=20):
     t = (np.arange(144) + 0.5) / 144.0
     rows = [{"layer": "hermite_values", "d": None, "nodes": t.size,
-             "fn": lambda: hermite_values(6, t)}]
+             "fn": lambda: hermite_values(6, t)}, quad_sweep(1), quad_sweep(3)]
     for d in (1, 2, 3):
         phi = TestFunction([LAYER_PHI] * d)
         p = CurrentParams([0.8] + [0.0] * (d - 1), 1.0)

@@ -1,9 +1,12 @@
 """Exception types shared across the package, and the argument rules:
-check_int for an integer, check_positive for a positive real, each refusing
-a bool (JSON true is no count and no time).  Imports nothing from hidacur."""
+check_int for an integer, check_positive for a positive real and check_reals
+for an array of reals, each refusing a bool (JSON true is no count, no time
+and no coefficient).  Imports nothing from hidacur."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 def is_real(value):
@@ -25,6 +28,14 @@ def check_positive(name, value):
     if is_real(value) and 0.0 < value < math.inf:
         return float(value)
     raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_reals(name, values):
+    """values, unchanged, if every entry of the (nested) sequence or array
+    is a Real that is not a bool, else ValueError."""
+    if all(map(is_real, np.ravel(np.asarray(values, dtype=object)))):
+        return values
+    raise ValueError(f"{name} must hold real numbers, not bools, got {values!r}")
 
 
 def check_seed(seed):

@@ -21,7 +21,8 @@ from . import __version__
 from .chaos import (extract_chaos_pairing, first_chaos_pairing_closed,
                     second_chaos_pairing_closed)
 from .diagnostics import default_cutoffs, divergence_scan
-from .errors import NonexistenceError, check_int, check_positive, check_seed
+from .errors import (NonexistenceError, check_int, check_positive,
+                     check_reals, check_seed)
 from .montecarlo import MCConfig, mc_s_transform
 from .quad import integrate_singular
 from .schwartz import TestFunction
@@ -298,7 +299,8 @@ def run_mc(cases=MC_ACCEPTANCE_CASES, seed=_CASE_SEEDS, n_paths=200000,
 def run_diverge(T=1.0, d_values=(1, 2, 3, 4, 5, 6), cutoffs=None):
     """Divergence scan over dimensions (criterion 6); cutoffs default to
     default_cutoffs(T)."""
-    cutoffs = np.asarray(default_cutoffs(T) if cutoffs is None else cutoffs)
+    cutoffs = np.asarray(default_cutoffs(T) if cutoffs is None
+                         else check_reals("cutoffs", cutoffs))
     rows = []
     for d in d_values:
         rep = divergence_scan(d, T, cutoffs)
@@ -322,6 +324,7 @@ def run_ubound(seed=20260701, n_samples=100,
     """Growth-bound fits on the Donsker delta and the proof integrand
     (criterion 7): normalized C2 must not exceed the analytic 1/2."""
     rng = np.random.default_rng(check_seed(seed))
+    check_reals("radii", radii)
     limit = 0.5 * (1.0 + 1e-6)
     rows = []
     for trial in range(check_int("n_samples", n_samples, 1)):

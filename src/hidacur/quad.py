@@ -17,13 +17,18 @@ Gauss nodes land near the peak of exp(-c/t) t^p however small c is, and where
 a Hermite test function varies for any T.  A damped first panel is split at
 1/8, 1/4 and 1/2 of its width, the grading that bisection builds anyway for
 the steep rise of exp(-c/t), one sweep per level (Davis & Rabinowitz, 2.12).
-Each panel gets an embedded Gauss-Legendre pair (16 vs 32 nodes).  It is
-accepted when the pair agrees to max(tol (b - a) / U, tol / 8000), or when
-floating point cannot split it; otherwise it is bisected.  The panels are
-refined breadth first: one integrand call per sweep evaluates every open
-panel, and the accepted set does not depend on that order.  The integrand is
-never evaluated at t = 0.  A result always carries a summed error estimate
-<= tol; otherwise QuadratureBudgetError is raised with the sum accepted so far.
+Each panel gets an embedded Gauss-Legendre pair (16 vs 32 nodes), placed
+at a + (b - a) u for the pair's nodes u on [0, 1]; one product of a sweep's
+48 values per panel with a constant (48, 2) weight matrix gives each
+panel's 32- and 16-point sums, and the error is their difference, exactly
+0 where the two round alike.  A panel is accepted when the pair agrees to
+max(tol (b - a) / U, tol / 8000), or when floating point cannot split it;
+otherwise it is bisected.  The panels are refined breadth first: one
+integrand call per sweep evaluates every open panel, and the accepted set
+does not depend on that order.  A sweep whose panels all pass ends the
+loop.  The integrand is never evaluated at t = 0.  A result always carries
+a summed error estimate <= tol; otherwise QuadratureBudgetError is raised
+with the sum accepted so far.
 
 Non-finite integrand values are caught on the panel errors: a NaN or inf
 among a panel's 48 values makes that panel's error non-finite, and only
@@ -64,10 +69,14 @@ class QuadResult:
     sweeps: int  # integrand calls, one per breadth-first sweep
 
 
-# the embedded Gauss-Legendre pair: a panel's 16 nodes, then its 32
+# the embedded Gauss-Legendre pair: its 16 nodes, then its 32, on the unit
+# panel [0, 1]; the columns of _W give, from a panel's 48 values, its 32- and
+# its 16-point sum on [-1, 1], to be scaled by the half-width
 _X16, _W16 = np.polynomial.legendre.leggauss(16)
 _X32, _W32 = np.polynomial.legendre.leggauss(32)
-_X = np.concatenate([_X16, _X32])
+_U = 0.5 + 0.5 * np.concatenate([_X16, _X32])
+_W = np.stack([np.concatenate([np.zeros(16), _W32]),
+               np.concatenate([_W16, np.zeros(32)])], axis=1)
 
 
 def integrate_singular(f, T, sing_exponent, tol, damping=None):
@@ -116,18 +125,17 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None):
     total = err_total = 0.0
     nodes = sweeps = 0
     while True:
-        if nodes + _X.size * a.size > NODE_BUDGET:
+        if nodes + _U.size * a.size > NODE_BUDGET:
             raise QuadratureBudgetError(
                 f"node budget {NODE_BUDGET} exhausted", best_estimate=total)
-        nodes += _X.size * a.size
+        nodes += _U.size * a.size
         sweeps += 1
         width = b - a
-        mid, half = 0.5 * (a + b), 0.5 * width
-        fx = np.asarray(g((mid[:, None] + half[:, None] * _X).ravel()))
+        fx = np.asarray(g((a[:, None] + width[:, None] * _U).ravel()))
         # (k, panels, 48) for a vector integrand, (panels, 48) for a scalar
-        fx = fx.reshape(fx.shape[:-1] + (a.size, _X.size))
-        val = half * (fx[..., 16:] @ _W32)
-        err = abs(val - half * (fx[..., :16] @ _W16))
+        fx = fx.reshape(fx.shape[:-1] + (a.size, _U.size))
+        q = (fx @ _W) * (0.5 * width)[:, None]
+        val, err = q[..., 0], abs(q[..., 0] - q[..., 1])
         # each panel's worst row, non-finite when any of its 48 values is
         panel_err = err if err.ndim == 1 \
             else err.reshape(-1, a.size).max(axis=0)
@@ -137,9 +145,13 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None):
                 j = np.nonzero(bad)[-2].min()
                 raise IntegrandFailureError(
                     f"integrand returned NaN/inf on [{a[j]}, {b[j]}]")
-        done = panel_err <= np.maximum(tol * width / U, tol / _FLOOR)
-        if not done.all():  # or floating point cannot split it
-            done |= ~((a < mid) & (mid < b))
+        done = panel_err <= np.maximum(width, U / _FLOOR) * (tol / U)
+        if done.all():
+            total = total + val.sum(axis=-1)
+            err_total = err_total + err.sum(axis=-1)
+            break
+        mid = 0.5 * (a + b)
+        done |= ~((a < mid) & (mid < b))  # floating point cannot split it
         total = total + val[..., done].sum(axis=-1)
         err_total = err_total + err[..., done].sum(axis=-1)
         keep = ~done
@@ -147,7 +159,7 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None):
             break
         a, mid, b = a[keep], mid[keep], b[keep]
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-    worst = np.max(err_total)
+    worst = err_total.max()
     if worst > tol:
         raise QuadratureBudgetError(
             f"error estimate {worst:g} misses tol {tol:g}",

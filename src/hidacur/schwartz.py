@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check_int, check_reals
 
 __all__ = [
     "TestFunction",
@@ -129,7 +129,9 @@ class TestFunction:
     components: tuple = field(default_factory=tuple)
 
     def __init__(self, components):
-        comps = tuple(np.atleast_1d(np.asarray(c, dtype=float)) for c in components)
+        comps = tuple(np.atleast_1d(np.asarray(check_reals("components", c),
+                                               dtype=float))
+                      for c in components)
         if not comps:
             raise ValueError("need at least one component")
         for c in comps:
@@ -253,7 +255,7 @@ class TestFunction:
         if stray:
             raise ValueError(f"unknown test function keys {stray}")
         comps = obj["components"]
-        if len(comps) != obj["d"]:
+        if len(comps) != check_int("d", obj["d"], 1):
             raise ValueError("component count does not match d")
         return cls(comps)
 
@@ -264,6 +266,8 @@ class TestFunction:
     @classmethod
     def basis_element(cls, d, i, k):
         """Test function with a single coefficient c_{i,k} = 1."""
+        i = check_int("component index", i, 0, d, IndexError)
+        k = check_int("mode", k, 0)
         comps = [np.zeros(k + 1) for _ in range(d)]
         comps[i][k] = 1.0
         return cls(comps)

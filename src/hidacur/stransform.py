@@ -37,7 +37,7 @@ import numpy as np
 
 from .diagnostics import _lstsq_1d
 from .errors import (IntegrandFailureError, NonexistenceError, check_int,
-                     check_positive, is_real)
+                     check_positive, check_reals)
 from .quad import QuadResult, integrate_singular
 from .special import singular_mass_closed
 
@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+_TINY = np.finfo(float).tiny  # an |x|^2 below it has underflowed
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +67,7 @@ class CurrentParams:
     T: float
 
     def __init__(self, x, T):
-        if not all(map(is_real, np.ravel(np.asarray(x, dtype=object)))):
-            raise ValueError(f"x must hold real numbers, not bools, got {x!r}")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.atleast_1d(np.asarray(check_reals("x", x), dtype=float))
         if x.ndim != 1 or x.size == 0:
             raise ValueError(f"x must be a nonempty vector, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
@@ -82,7 +81,7 @@ class CurrentParams:
 
     @property
     def at_origin(self):
-        return bool(np.all(self.x == 0.0))
+        return not self.x.any()
 
     def origin_exponent(self, n=1):
         """Exponent e of the order-n chaos kernel, O(t^e) at x = 0: (n-1-d)/2
@@ -151,11 +150,11 @@ def _integrate_current(p, phi, tol, i=None, z=None, eps2=0.0, order=None):
     Elsewhere (x != 0, or eps2 > 0) the kernel is bounded: exponent 0, and
     its mass at t <~ eps2 + |x|^2 / 2, the damping scale the mesh starts at."""
     x, d = p.x, p.d
-    r2 = float(np.dot(x, x))
+    r2 = x @ x
     if p.at_origin and not eps2:
         sing, damping = p.origin_exponent(order or 1), None
     else:
-        if not eps2 and r2 < np.finfo(float).tiny:
+        if not eps2 and r2 < _TINY:
             raise IntegrandFailureError(
                 f"|x|^2 = {r2:g} underflows at x = {x.tolist()}")
         sing, damping = 0.0, eps2 + r2 / 2.0

@@ -178,15 +178,24 @@ class TestExitCodes:
          "n_samples must be an integer >= 1, got True"),
         ("stransform", {"sweep": True, "n_nonzero": True},
          "n_nonzero must be an integer >= 0, got True"),
+        ("stransform", {"x": [0.5], "T": 1.0, "phi": phi_ref([[True, 0.3]])},
+         "components must hold real numbers, not bools, got [True, 0.3]"),
+        ("ubound", {"n_samples": 2, "radii": [True, 4.0]},
+         "radii must hold real numbers, not bools, got [True, 4.0]"),
+        ("diverge", {"d_values": [1], "cutoffs": [True, 0.1, 0.01]},
+         "cutoffs must hold real numbers, not bools, got [True, 0.1, 0.01]"),
     ], ids=["stransform-T-true", "diverge-T-true", "mollified-eps2-true",
             "stransform-tol-true", "chaos-order-true", "chaos-atol-true",
             "gamma-check-rtol-true", "mc-stderr-fraction-true",
             "stransform-x-true", "gamma-check-d-true", "gamma-check-d-2.0",
-            "diverge-d-true", "diverge-d-2.0", "ubound-n-samples-true", "stransform-sweep-n-nonzero-true"])
+            "diverge-d-true", "diverge-d-2.0", "ubound-n-samples-true", "stransform-sweep-n-nonzero-true",
+            "stransform-phi-components-true", "ubound-radii-true",
+            "diverge-cutoffs-true"])
     def test_bool_or_out_of_range_value_names_its_key(
             self, tmp_path, capsys, kind, knobs, shown):
         # each ran before: JSON true as 1 (atol true passed criterion 4 at
-        # tolerance 1), d 2.0 as 2, and 0 instances as a passed check
+        # tolerance 1, a true coefficient ran as 1.0 and a true radius
+        # fitted at radius 1), d 2.0 as 2, and 0 instances as a passed check
         cfg = write_config(tmp_path, "c.json", knobs)
         assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert shown in capsys.readouterr().err
@@ -436,6 +445,16 @@ class TestRecords:
         assert main(["stransform", "--config", cfg,
                      "--out", str(tmp_path)]) == 2
         assert "'scale'" in capsys.readouterr().err
+
+    def test_phi_file_d_true_is_config_error(self, tmp_path, capsys):
+        # true == 1 passed the component count check against one component
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps({"d": True, "components": [[1.0]]}))
+        cfg = write_config(tmp_path, "c.json", {
+            "x": [0.5], "T": 1.0, "phi": str(phi_path)})
+        assert main(["stransform", "--config", cfg,
+                     "--out", str(tmp_path)]) == 2
+        assert "d must be an integer >= 1, got True" in capsys.readouterr().err
 
     def test_idempotent_modulo_wall_time(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"seed": 3, "n_samples": 4})

@@ -106,6 +106,24 @@ class TestErrorEstimate:
                 ok += abs(res.value - exact) <= max(res.abs_error_estimate, 1e-15)
         assert ok / total >= 0.99
 
+    @pytest.mark.parametrize("f", [lambda t: np.cos(40.0 * t),
+                                   lambda t: np.exp(40j * t)],
+                             ids=["scalar", "complex"])
+    def test_one_panel_error_is_the_gauss_pair_difference(self, f):
+        # T = 1 undamped is the one panel (0, 1], accepted at tol 1: the
+        # value is its 32-point sum and the error |Q32 - Q16|, each from
+        # leggauss on its own
+        def gauss(n):
+            x, w = np.polynomial.legendre.leggauss(n)
+            return 0.5 * (w @ f(0.5 + 0.5 * x))
+
+        res = integrate_singular(f, 1.0, sing_exponent=0.0, tol=1.0)
+        assert (res.sweeps, res.node_count) == (1, 48)
+        assert res.value == pytest.approx(gauss(32), abs=1e-15)
+        assert res.abs_error_estimate == pytest.approx(
+            abs(gauss(32) - gauss(16)), rel=1e-12, abs=1e-15)
+        assert 1e-6 < res.abs_error_estimate < 1.0
+
     def test_halving_tol_never_hurts(self):
         for name, f, T, p, damping, exact in CASES:
             prev_err = np.inf

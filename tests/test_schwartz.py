@@ -70,6 +70,16 @@ class TestEval:
         with pytest.raises(IndexError):
             phi.eval(0.0, 2)
 
+    @pytest.mark.parametrize("i", [-1, 2, True])
+    def test_basis_element_refuses_component_index(self, i):
+        # i = -1 put the unit coefficient in component d - 1
+        with pytest.raises(IndexError, match="component index"):
+            TestFunction.basis_element(2, i, 0)
+
+    def test_basis_element_refuses_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            TestFunction.basis_element(2, 0, -1)
+
     def test_eval_all_matches_eval(self, rng):
         phi = random_phi(rng, 3, 6)
         t = rng.uniform(-3, 3, size=7)
@@ -403,3 +413,13 @@ class TestSerialization:
             TestFunction([[np.nan]])
         with pytest.raises(ValueError):
             TestFunction([])
+
+    def test_bool_coefficient_and_dimension_rejected(self):
+        # JSON true was stored as the coefficient 1.0, and "d": true passed
+        # the count check against one component
+        with pytest.raises(ValueError, match="components"):
+            TestFunction([[True, 0.3]])
+        with pytest.raises(ValueError, match="components"):
+            TestFunction([np.array([False])])
+        with pytest.raises(ValueError, match="d must be an integer"):
+            TestFunction.from_json('{"d": true, "components": [[1.0, 0.3]]}')

@@ -59,6 +59,13 @@ class TestCurrentParams:
         else:
             assert p.origin_exponent(n) == ((n - 1 - d) / 2 if n % 2 else 0.0)
 
+    def test_negative_zero_is_the_origin(self):
+        p = CurrentParams([-0.0], 1.0)
+        assert p.at_origin is True
+        phi = TestFunction([[1.0, 0.3]])
+        assert np.array_equal(s_current(p, phi),
+                              s_current(CurrentParams([0.0], 1.0), phi))
+
     def test_origin_message_is_the_existence_refusal(self):
         # the text criterion 2's record stores for d = 2
         with pytest.raises(NonexistenceError) as exc:
