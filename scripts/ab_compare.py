@@ -1,16 +1,17 @@
 """Compare the op times of this tree and another, op by op, in one process.
 
     python3 scripts/ab_compare.py <other tree> --deck closed-form|chaos-growth
-        [--seeds 1 2 3] [--ops 400] [--repeats 2] [--out ab_compare.json]
+        [--seeds 1 2 3] [--ops 400] [--out ab_compare.json]
 
 This tree's src/hidacur is imported as the package hidacur_a and the other
 tree's as hidacur_b, and perfbench/workloads.py of this tree is loaded once
 against each, so both run the same benchmark code.  For every seed, both
 copies of the deck's workload draw the same --ops ops from the seeded
-stream; each op runs 2 x --repeats times in each tree, first as often as
+stream; each op runs 2 x REPEATS times in each tree, first as often as
 second.  An op's ratio is its median time here over its median time in the
-other tree, so a ratio below 1 means this tree is faster.  Each op kind gets the median of its ops' ratios with a percentile
-bootstrap interval over its ops, and so does the whole deck ("all"); the
+other tree, so a ratio below 1 means this tree is faster.  Each op kind
+gets the median of its ops' ratios with a percentile bootstrap interval
+over its ops, and so does the whole deck ("all"); the
 intervals hold together at LEVEL, each at 1 - (1 - LEVEL) / (number of
 rows), so that run against its own tree, every interval should contain 1.
 Give each kind a dozen ops or more: with n ops of a kind, all n fall on one
@@ -37,6 +38,7 @@ PERFBENCH = ROOT / "perfbench"
 DECKS = {"closed-form": "ClosedForm", "chaos-growth": "ChaosGrowth"}
 LEVEL = 0.999  # the joint coverage of a table's bootstrap intervals
 RESAMPLES = 2000
+REPEATS = 2  # runs of each op in both orders
 
 
 def _load(path, name, **kw):
@@ -80,7 +82,7 @@ def _time(wl, op):
     return perf_counter() - t0, False
 
 
-def run_pairs(wls, n_ops, repeats):
+def run_pairs(wls, n_ops):
     """[(kind, ratio)] for the first n_ops ops of the two workloads, which
     draw the same inputs, and each tree's failed count."""
     for wl in wls:
@@ -91,7 +93,7 @@ def run_pairs(wls, n_ops, repeats):
         times = ([], [])
         # each repeat runs the pair in both orders, so each tree goes first
         # as often as second and a cost that falls on the first run cancels
-        for r in range(repeats):
+        for r in range(REPEATS):
             for side in (0, 1, 1, 0) if (j + r) % 2 else (1, 0, 0, 1):
                 t, bad = _time(wls[side], ops[side])
                 times[side].append(t)
@@ -110,14 +112,13 @@ def interval(ratios, rng, tail):
     return float(np.median(r)), float(lo), float(hi)
 
 
-def compare(other, deck, seeds, n_ops, repeats):
+def compare(other, deck, seeds, n_ops):
     sys.path.insert(0, str(PERFBENCH))  # workloads imports speed and stats
     cls = DECKS[deck]
     mods = [load_workloads(ROOT, "hidacur_a"), load_workloads(other, "hidacur_b")]
     by_kind, failed = defaultdict(list), [0, 0]
     for seed in seeds:
-        rows, bad = run_pairs([getattr(m, cls)(seed) for m in mods], n_ops,
-                              repeats)
+        rows, bad = run_pairs([getattr(m, cls)(seed) for m in mods], n_ops)
         failed = [f + b for f, b in zip(failed, bad)]
         for kind, ratio in rows:
             by_kind[kind].append(ratio)
@@ -131,7 +132,7 @@ def compare(other, deck, seeds, n_ops, repeats):
                        "lo": round(lo, 4), "hi": round(hi, 4)}
     return {"here": str(ROOT), "other": str(Path(other).resolve()),
             "deck": deck, "seeds": list(seeds), "ops_per_seed": n_ops,
-            "repeats": repeats, "level": LEVEL,
+            "repeats": REPEATS, "level": LEVEL,
             "ratio": "median op time here / in other", "kinds": kinds,
             "failed": {"here": failed[0], "other": failed[1]}}
 
@@ -142,11 +143,9 @@ def main(argv=None):
     ap.add_argument("--deck", required=True, choices=sorted(DECKS))
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--ops", type=int, default=400, help="ops per seed")
-    ap.add_argument("--repeats", type=int, default=2,
-                    help="runs of each op in both orders")
     ap.add_argument("--out", default="ab_compare.json")
     args = ap.parse_args(argv)
-    result = compare(args.other, args.deck, args.seeds, args.ops, args.repeats)
+    result = compare(args.other, args.deck, args.seeds, args.ops)
     print(f"{args.deck}: median op time here / in {result['other']}, "
           f"bootstrap intervals jointly at {LEVEL:.1%}")
     for kind, row in result["kinds"].items():

@@ -35,7 +35,7 @@ def check_reals(name, values):
     is a Real that is not a bool, else ValueError."""
     if all(map(is_real, np.ravel(np.asarray(values, dtype=object)))):
         return values
-    raise ValueError(f"{name} must hold real numbers, not bools, got {values!r}")
+    raise ValueError(f"{name} must hold real numbers (no bools), got {values!r}")
 
 
 def check_seed(seed):

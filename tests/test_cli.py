@@ -166,7 +166,7 @@ class TestExitCodes:
         ("mc", {"n_paths": 64, "n_steps": 16, "stderr_fraction": True},
          "stderr_fraction must be finite and > 0, got True"),
         ("stransform", {"x": [True], "T": 1.0, "phi": phi_ref([[1.0]])},
-         "x must hold real numbers, not bools, got [True]"),
+         "x must hold real numbers (no bools), got [True]"),
         ("gamma-check", {"d_values": [True, 2.0]},
          "d must be an integer >= 1, got True"),
         ("gamma-check", {"d_values": [2.0]},
@@ -179,11 +179,11 @@ class TestExitCodes:
         ("stransform", {"sweep": True, "n_nonzero": True},
          "n_nonzero must be an integer >= 0, got True"),
         ("stransform", {"x": [0.5], "T": 1.0, "phi": phi_ref([[True, 0.3]])},
-         "components must hold real numbers, not bools, got [True, 0.3]"),
+         "components must hold real numbers (no bools), got [True, 0.3]"),
         ("ubound", {"n_samples": 2, "radii": [True, 4.0]},
-         "radii must hold real numbers, not bools, got [True, 4.0]"),
+         "radii must hold real numbers (no bools), got [True, 4.0]"),
         ("diverge", {"d_values": [1], "cutoffs": [True, 0.1, 0.01]},
-         "cutoffs must hold real numbers, not bools, got [True, 0.1, 0.01]"),
+         "cutoffs must hold real numbers (no bools), got [True, 0.1, 0.01]"),
     ], ids=["stransform-T-true", "diverge-T-true", "mollified-eps2-true",
             "stransform-tol-true", "chaos-order-true", "chaos-atol-true",
             "gamma-check-rtol-true", "mc-stderr-fraction-true",

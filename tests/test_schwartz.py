@@ -423,3 +423,10 @@ class TestSerialization:
             TestFunction([np.array([False])])
         with pytest.raises(ValueError, match="d must be an integer"):
             TestFunction.from_json('{"d": true, "components": [[1.0, 0.3]]}')
+
+    @pytest.mark.parametrize("component", [["0.5", 0.3], [[1.0, 2.0], [3.0]]],
+                             ids=["string", "ragged"])
+    def test_non_real_coefficient_message(self, component):
+        with pytest.raises(ValueError,
+                           match=r"components must hold real numbers \(no bools\)"):
+            TestFunction([component])
