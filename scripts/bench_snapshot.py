@@ -31,8 +31,11 @@ holds:
     repeats, each the mean of a batch of calls;
   * "mc_block": for each of criterion 5's four cases, one 1,024-path block
     at 4,096 steps: the normals drawn and the median and quartiles, over 7
-    interleaved repeats, of the ms of simulate_increments,
-    mollified_current_sample and the whole _block_moments, at one thread;
+    interleaved repeats, of the ms of simulate_increments and
+    mollified_current_sample on the whole block and of _block_moments
+    streaming it through one reused workspace, at one thread; and
+    "alloc_peak_kib", tracemalloc's peak over one warm mc_s_transform of
+    the case at 4,096 / d paths, at 1 thread and at the usable CPU count;
   * "perfbench": the last JSON line of perfbench/run.py --seed 1 for each
     workload, run for BENCHMARK.json's run_seconds;
   * "acceptance": per criterion 1-8, the wall time of its config at
@@ -44,6 +47,7 @@ holds:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -51,6 +55,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -216,17 +221,35 @@ def mc_block(repeats=7):
         phi = mc_acceptance_phi(d, case["eps2"])
         phi_grid = phi.eval_all(np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
         inc = montecarlo.simulate_increments(cfg, 0)
+        work = montecarlo._Workspace(montecarlo._kernel_constants(
+            cfg, phi_grid, montecarlo.DTYPE))
         rng, kernel, block = interleaved([
             lambda: montecarlo.simulate_increments(cfg, 0),
             lambda: montecarlo.mollified_current_sample(cfg, inc, phi_grid),
-            lambda: montecarlo._block_moments(cfg, phi_grid, 0)], repeats)
+            lambda: montecarlo._block_moments(cfg, phi_grid, 0, work)],
+            repeats)
         rows.append({
             "d": d, "eps2": case["eps2"], "paths": cfg.n_paths,
             "n_steps": cfg.n_steps, "normals": inc.size,
             "rng_ms": quartiles(rng, 1e3), "kernel_ms": quartiles(kernel, 1e3),
             "block_ms": quartiles(block, 1e3),
+            "alloc_peak_kib": {f"threads{k}": alloc_peak_kib(
+                dataclasses.replace(cfg, n_paths=4096 // d), phi, k)
+                for k in dict.fromkeys((1, len(os.sched_getaffinity(0))))},
         })
     return rows
+
+
+def alloc_peak_kib(cfg, phi, threads):
+    """tracemalloc's peak, in KiB, over one mc_s_transform after a warm-up
+    call."""
+    montecarlo.mc_s_transform(cfg, phi, n_threads=threads)
+    tracemalloc.start()
+    try:
+        montecarlo.mc_s_transform(cfg, phi, n_threads=threads)
+        return round(tracemalloc.get_traced_memory()[1] / 1024)
+    finally:
+        tracemalloc.stop()
 
 
 def perfbench(workload):

@@ -10,13 +10,16 @@ import numpy as np
 
 
 def is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # exact float and int by type first: the ABC check costs ~0.5 us
+    return type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def check_int(name, value, lo, hi=None, error=ValueError):
     """int(value) for an Integral in [lo, hi) (hi None: no upper end) that
     is not a bool, else error (IndexError for a component index)."""
-    if (is_real(value) and isinstance(value, numbers.Integral)
+    if ((type(value) is int or is_real(value)
+         and isinstance(value, numbers.Integral))
             and lo <= value and (hi is None or value < hi)):
         return int(value)
     span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"

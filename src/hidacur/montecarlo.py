@@ -8,10 +8,15 @@ run the blocks.  The normals come from a vectorised Box-Muller transform of
 the raw SFC64 bits (see ``simulate_increments``).  A block (``BLOCK_SIZE``
 paths) is the unit of keying and of thread work.  Each drawn path w is
 evaluated with its mirror -w, also Brownian, so a block of n paths draws
-ceil(n/2) paths.  The sampler and kernel run over chunks of ``CHUNK_PATHS``
-drawn paths, whose arrays stay in the core's L2 cache while the passes over
-them run.  Paths are drawn and summed in ``DTYPE`` (float32), and each block
-returns its pair means in float64.  By Cameron-Martin the S-transform is
+ceil(n/2) paths.  A block is streamed one chunk of ``CHUNK_PATHS`` drawn
+paths at a time: the kernel draws each chunk from the block's stream into
+its worker's workspace just before it reads it, while the chunk's
+increments (512 KiB per component at 4,096 steps) are still in the core's
+L2 cache, and keeps only the chunk's (g, f) sums.  So a worker holds one
+workspace, 3.0 MiB at d = 1 and 3.5 MiB at d = 2 at 4,096 steps, not a
+block's increments (8 and 16 MiB); streams stay keyed per block.  Paths
+are drawn and summed in ``DTYPE`` (float32), and each block returns its
+pair means in float64.  By Cameron-Martin the S-transform is
 the mean on the shifted path, S F(phi) = E[F(w + phi)] (Kuo, White Noise
 Distribution Theory, 1996), so the mollified current is realized on w + phi
 as a left-endpoint (Ito) sum
@@ -53,8 +58,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -122,7 +129,7 @@ class MCEstimate:
         })
 
 
-def simulate_increments(cfg, block):
+def simulate_increments(cfg, block, out=None):
     """Drawn increments dB for one path block, shape (ceil(n/2), n_steps, d).
 
     i.i.d. N(0, T/M) per step per component; deterministic in (seed, block).
@@ -144,129 +151,226 @@ def simulate_increments(cfg, block):
     probability ~4e-9.
 
     The array is a view of a C-ordered (paths, d, n_steps) buffer, so each
-    component of each path is contiguous along time.
+    component of each path is contiguous along time.  Given out, a
+    (CHUNK_PATHS, d, n_steps) workspace array, nothing is drawn yet: the
+    block comes back as ``_Draws``, which draws each chunk into out when
+    the kernel reaches it, the same draws in the same order.
     """
-    if not 0 <= block < cfg.n_blocks:
-        raise IndexError(f"block {block} out of range")
-    n, m, d = (cfg.block_paths(block) + 1) // 2, cfg.n_steps, cfg.d
-    bitgen = np.random.SFC64(np.random.SeedSequence(cfg.seed,
-                                                    spawn_key=(block,)))
-    out = np.empty((n, d, m), dtype=DTYPE)
-    for lo in range(0, n, CHUNK_PATHS):
-        _box_muller(bitgen, out[lo:lo + CHUNK_PATHS].reshape(-1), cfg.T / m)
-    return out.transpose(0, 2, 1)
+    draws = _Draws(cfg, block, out)
+    if out is not None:
+        return draws
+    for _ in draws:  # every chunk into its own rows
+        pass
+    return draws.out.transpose(0, 2, 1)
+
+
+class _Draws:
+    """One block's increments, drawn from its stream a chunk at a time as
+    they are read, so that a block makes one draw call and one kernel call
+    (perfbench's tracer wraps both) while no array holds the whole block.
+
+    shape, dtype, size and nbytes are those of the block's (paths, n_steps,
+    d) array.  Iterating, once, draws each chunk of ``CHUNK_PATHS`` drawn
+    paths in stream order and yields (lo, chunk), chunk a (paths, n_steps,
+    d) view of out: of rows lo.. when out holds the whole block, else of
+    its first rows, which the next chunk overwrites.
+    """
+
+    def __init__(self, cfg, block, out=None):
+        if not 0 <= block < cfg.n_blocks:
+            raise IndexError(f"block {block} out of range")
+        self.block = block
+        self.stream = np.random.SFC64(np.random.SeedSequence(
+            cfg.seed, spawn_key=(block,)))
+        self.var = cfg.T / cfg.n_steps
+        self.shape = ((cfg.block_paths(block) + 1) // 2, cfg.n_steps, cfg.d)
+        self.out = (np.empty((self.shape[0], cfg.d, cfg.n_steps), dtype=DTYPE)
+                    if out is None else out)
+        self.dtype = self.out.dtype
+        self.size = math.prod(self.shape)
+        self.nbytes = self.size * self.dtype.itemsize
+
+    def __iter__(self):
+        n = self.shape[0]
+        for lo in range(0, n, CHUNK_PATHS):
+            start = lo % len(self.out)  # lo in a whole block, else 0
+            rows = self.out[start:start + min(CHUNK_PATHS, n - lo)]
+            _box_muller(self.stream, rows.reshape(-1), self.var)
+            yield lo, rows.transpose(0, 2, 1)
 
 
 def _box_muller(bitgen, z, var):
-    """Fill the 1-d array z with N(0, var) draws from bitgen's raw output."""
+    """Fill the 1-d float32 array z with N(0, var) draws from bitgen's raw
+    output.  The radius uniforms are cast into z and the angle uniforms
+    into the radius bits they follow, so the raw words are the only array
+    allocated."""
     count = z.size
     half = (count + 1) // 2
     bits = bitgen.random_raw(half).view(np.uint32)
     np.right_shift(bits, 8, out=bits)
-    u = bits.astype(z.dtype)
-    u += 0.5
-    u *= 2.0 ** -24
-    radius, angle = u[:half], u[half:]
+    radius, angle = z[:half], bits[:half].view(z.dtype)
+    for u, k in ((radius, bits[:half]), (angle, bits[half:])):
+        np.add(k, z.dtype.type(0.5), out=u, dtype=z.dtype)  # cast and + 1/2
+        u *= 2.0 ** -24
     np.log(radius, out=radius)
     radius *= -2.0 * var
     np.sqrt(radius, out=radius)
     angle *= 2.0 * math.pi
     rest = count - half
-    np.cos(angle, out=z[:half])
-    z[:half] *= radius
     np.sin(angle[:rest], out=z[half:])
     z[half:] *= radius[:rest]
+    np.cos(angle, out=angle)
+    radius *= angle
 
 
-def mollified_current_sample(cfg, increments, phi_grid):
-    """Ito sums (g, f) of the mollified current on the shifted paths w + phi
-    (row 0) and -w + phi (row 1), each shape (2, paths, d).
+class _Workspace:
+    """One worker's arrays for chunks of up to ``paths`` drawn paths, reused
+    by every chunk it runs, and the kernel's constants ``const``, which
+    every worker of one ``mc_s_transform`` call shares read-only.
 
-    f = +-sum_k p_eps2(x - c(t_k) -+ B(t_k)) dB(t_k), an Ito sum of an adapted
-    integrand and so exactly centred; g adds sum_k p_eps2(...) phi(t_k) dt.
-    increments is (paths, n_steps, d) and phi_grid, phi at the left endpoints,
-    (d, n_steps); B(t_0) = 0, and p_eps2 is the d-dimensional Gaussian density
-    of variance eps2.  Paths are taken ``CHUNK_PATHS`` at a time, and one
-    blocked prefix sum per component (see the module docstring) serves both
-    rows.  B and the centre x - c enter scaled by 1/sqrt(2 eps2), so the
-    log-density is log_norm - sum_j (scaled B_j -+ scaled centre_j)^2.
+    The sampler's (paths, d, n_steps) increments and the kernel's scan
+    buffer, scaled B, scratch and q are slices of one zeroed buffer, which
+    glibc's malloc then keeps for the next call's: as five separate arrays
+    they cost about 2,050 minor page faults per mc-grid op against 9.  The
+    scan buffer's column 0 holds each scan block's exclusive offset and
+    columns 1.. its increments; past n_steps and in block 0's offset it
+    stays zero, as no chunk writes there.
     """
-    inc = np.asarray(increments)
-    n, m, d = inc.shape
-    log_norm = -0.5 * d * math.log(2.0 * math.pi * cfg.eps2)
+
+    def __init__(self, const, paths=CHUNK_PATHS):
+        d, m = const.centre.shape
+        blocks = const.blocks
+        shapes = [(paths, d, m), (paths, blocks, SCAN_STEPS + 1),
+                  (paths, blocks * SCAN_STEPS), (paths, m), (2, paths, m)]
+        sizes = [math.prod(shape) for shape in shapes]
+        flat = np.zeros(sum(sizes), dtype=const.centre.dtype)
+        self.const = const
+        # q holds |B -+ centre|^2, then log p, then p
+        self.increments, self.buf, self.b, self.s, self.q = (
+            part.reshape(shape) for part, shape in
+            zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
+
+
+def _kernel_constants(cfg, phi_grid, dtype):
+    """The kernel's per-config constants for phi_grid (phi at the left
+    endpoints, (d, n_steps)) in dtype: log_norm, the scaled centre and the
+    drift, each (d, n_steps), the scan matrix and ones vector, and the scan
+    layout (scan blocks per BLAS call, and scan blocks zero-padded to a
+    multiple of it)."""
+    m = cfg.n_steps
     scale = 1.0 / math.sqrt(2.0 * cfg.eps2)
     drift = np.asarray(phi_grid) * (cfg.T / m)           # phi_j(t_k) dt
     # the scaled centre x_j - c_j(t_k) both rows share, and the drift
     centre, drift = np.array([(np.asarray(cfg.x)[:, None] + drift
                                - drift.cumsum(axis=1)) * scale, drift],
-                             dtype=inc.dtype)
+                             dtype=dtype)
     # scan matrix: row 0 adds the block's offset, rows 1.. the scaled
     # increments before each step of the block
-    scan = np.zeros((SCAN_STEPS + 1, SCAN_STEPS), dtype=inc.dtype)
+    scan = np.zeros((SCAN_STEPS + 1, SCAN_STEPS), dtype=dtype)
     scan[0] = 1.0
     scan[1:] = np.triu(np.full((SCAN_STEPS, SCAN_STEPS), scale), k=1)
-    ones = np.full(SCAN_STEPS, scale, dtype=inc.dtype)
-    full, rem = divmod(m, SCAN_STEPS)
     per_call = min(-(-m // SCAN_STEPS), SCAN_BLOCKS)
-    blocks = -(-m // (SCAN_STEPS * per_call)) * per_call  # zero-padded
+    return SimpleNamespace(
+        log_norm=-0.5 * cfg.d * math.log(2.0 * math.pi * cfg.eps2),
+        centre=centre, drift=drift, scan=scan,
+        ones=np.full(SCAN_STEPS, scale, dtype=dtype), per_call=per_call,
+        blocks=-(-m // (SCAN_STEPS * per_call)) * per_call)
+
+
+def mollified_current_sample(cfg, increments, phi_grid, work=None):
+    """Ito sums (g, f) of the mollified current on the shifted paths w + phi
+    (row 0) and -w + phi (row 1), each shape (2, paths, d).
+
+    f = +-sum_k p_eps2(x - c(t_k) -+ B(t_k)) dB(t_k), an Ito sum of an adapted
+    integrand and so exactly centred; g adds sum_k p_eps2(...) phi(t_k) dt.
+    increments is (paths, n_steps, d), an array or a block's ``_Draws``,
+    and phi_grid, phi at the left endpoints, (d, n_steps); B(t_0) = 0, and
+    p_eps2 is the d-dimensional Gaussian density of variance eps2.  Paths
+    are taken ``CHUNK_PATHS`` at a time, and one blocked prefix sum per
+    component (see the module docstring) serves both rows.  B and the
+    centre x - c enter scaled by 1/sqrt(2 eps2), so the log-density is
+    log_norm - sum_j (scaled B_j -+ scaled centre_j)^2.
+
+    work is a ``_Workspace`` built for cfg and phi_grid in the increments'
+    dtype, which a worker reuses for every chunk of its blocks; by default
+    one is built for this call.  A ``_Draws`` is drawn into work's
+    increments one chunk at a time, each chunk just before the kernel reads
+    it, while it is still in the core's cache.
+    """
+    if isinstance(increments, _Draws):
+        inc = chunks = increments
+    else:
+        inc = np.asarray(increments)
+        chunks = ((lo, inc[lo:lo + CHUNK_PATHS])
+                  for lo in range(0, len(inc), CHUNK_PATHS))
+    n, m, d = inc.shape
+    if work is None:
+        work = _Workspace(_kernel_constants(cfg, phi_grid, inc.dtype),
+                          min(n, CHUNK_PATHS))
+    c = work.const
+    full, rem = divmod(m, SCAN_STEPS)
 
     def stacked(a):  # (paths, blocks, k) as (calls, per_call, k)
-        return a.reshape(-1, per_call, a.shape[-1])
+        return a.reshape(-1, c.per_call, a.shape[-1])
 
     g, f = np.empty((2, 2, n, d), dtype=inc.dtype)
-    p = min(n, CHUNK_PATHS)
-    # column 0: the block's exclusive offset; columns 1..: its increments
-    buf = np.zeros((p, blocks, SCAN_STEPS + 1), dtype=inc.dtype)
-    b = np.empty((p, blocks * SCAN_STEPS), dtype=inc.dtype)  # scaled B_j(t_k)
-    s = np.empty((p, m), dtype=inc.dtype)                    # scratch
-    q = np.empty((2, p, m), dtype=inc.dtype)  # |B -+ centre|^2, log p, p
-    for lo in range(0, n, CHUNK_PATHS):
+    for lo, chunk in chunks:
         rows = slice(lo, lo + CHUNK_PATHS)
-        chunk = inc[rows]
         p = len(chunk)
-        bufk, bk, sk, qk = buf[:p], b[:p], s[:p], q[:, :p]
+        bufk, bk, sk, qk = work.buf[:p], work.b[:p], work.s[:p], work.q[:, :p]
         for j in range(d):
             steps = chunk[:, :, j]
             bufk[:, :full, 1:] = steps[:, :full * SCAN_STEPS].reshape(
                 p, full, SCAN_STEPS)
             if rem:
                 bufk[:, full, 1:rem + 1] = steps[:, full * SCAN_STEPS:]
-            totals = np.matmul(stacked(bufk[:, :, 1:]), ones)
-            np.cumsum(totals.reshape(p, blocks)[:, :-1], axis=1,
+            totals = np.matmul(stacked(bufk[:, :, 1:]), c.ones)
+            np.cumsum(totals.reshape(p, c.blocks)[:, :-1], axis=1,
                       out=bufk[:, 1:, 0])
-            np.matmul(stacked(bufk), scan, out=stacked(bk.reshape(
-                p, blocks, SCAN_STEPS)))
+            np.matmul(stacked(bufk), c.scan, out=stacked(bk.reshape(
+                p, c.blocks, SCAN_STEPS)))
             for qr, sign in zip(qk, (-1.0, 1.0)):
                 term = qr if j == 0 else sk
-                term[:] = sign * centre[j]  # faster than a broadcast add
+                term[:] = sign * c.centre[j]  # faster than a broadcast add
                 np.square(np.add(term, bk[:, :m], out=term), out=term)
                 if j:
                     qr += term
-        np.subtract(log_norm, qk, out=qk)
+        np.subtract(c.log_norm, qk, out=qk)
         np.maximum(qk, -72.0, out=qk)  # no subnormal densities (see above)
         dens = np.exp(qk, out=qk)
         for j in range(d):
             np.vecdot(dens, chunk[:, :, j], out=f[:, rows, j])
-            np.vecdot(dens, drift[j], out=g[:, rows, j])
+            np.vecdot(dens, c.drift[j], out=g[:, rows, j])
     f[1] *= -1.0
     g += f
     return g, f
 
 
-def _block_moments(cfg, phi_grid, block):
+def _block_moments(cfg, phi_grid, block, work=None):
     """One block's pair means (g, f), each (pairs, d) float64: g of the
-    shifted current, f of its Ito part."""
-    inc = simulate_increments(cfg, block)
+    shifted current, f of its Ito part.
+
+    The kernel draws each chunk of ``CHUNK_PATHS`` drawn paths into work (a
+    ``_Workspace`` for cfg and phi_grid in ``DTYPE``, by default one built
+    for this block) as it reaches it, so no array holds the whole block.
+    """
+    if work is None:
+        work = _Workspace(_kernel_constants(cfg, phi_grid, DTYPE))
+    draws = simulate_increments(cfg, block, work.increments)
     # float64 regardless of the path dtype
-    return tuple(0.5 * row.astype(np.float64).sum(axis=0)
-                 for row in mollified_current_sample(cfg, inc, phi_grid))
+    return tuple(0.5 * row.astype(np.float64).sum(axis=0) for row in
+                 mollified_current_sample(cfg, draws, phi_grid, work))
 
 
 def default_threads():
+    """HIDACUR_THREADS when it is set, else the CPUs this process may run
+    on, at most 8."""
     env = os.environ.get("HIDACUR_THREADS")
     if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+        return check_int("HIDACUR_THREADS",
+                         int(env) if env.removeprefix("-").isdecimal()
+                         else env, 1)
+    return min(8, len(os.sched_getaffinity(0)))
 
 
 def mc_s_transform(cfg, phi, n_threads=None):
@@ -276,9 +380,13 @@ def mc_s_transform(cfg, phi, n_threads=None):
     shifted path, over cfg.n_paths paths in antithetic pairs (w, -w); the
     stderr is over the ceil(n/2) pair means of each block of n, so an odd
     n_paths evaluates one extra mirrored path.  Blocks are independent work
-    units, and their pair means are joined in block order, so the estimate
-    is bit-identical for any thread count.  Holding the pair means costs 32
-    bytes per pair and component: 3.2 MB for 100,000 pairs at d = 2.
+    units on n_threads worker threads (by default ``default_threads()``),
+    and their pair means are joined in block order, so the estimate is
+    bit-identical for any thread count.  The kernel's constants are built
+    once per call and shared; each worker allocates one workspace, 3.5 MiB
+    at 4,096 steps and d = 2, and streams each of its blocks through it a
+    chunk at a time.  Holding the pair means costs 32 bytes per pair
+    and component: 3.2 MB for 100,000 pairs at d = 2.
 
     The Ito part f of the shifted current g, whose mean is exactly zero for
     -w as for w, is subtracted as a control variate, h = g - beta f, with
@@ -288,13 +396,22 @@ def mc_s_transform(cfg, phi, n_threads=None):
     """
     if phi.dimension != cfg.d:
         raise ValueError("test function dimension does not match d")
-    n_threads = n_threads or default_threads()
+    n_threads = (default_threads() if n_threads is None
+                 else check_int("n_threads", n_threads, 1))
     phi_grid = phi.eval_all(np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
+    const = _kernel_constants(cfg, phi_grid, DTYPE)
+    local = threading.local()  # each worker's workspace
 
-    # results in block order; _block_moments is looked up as a global per call
+    def block_moments(block):
+        if not hasattr(local, "work"):
+            local.work = _Workspace(const)
+        # _block_moments is looked up as a global per call
+        return _block_moments(cfg, phi_grid, block, local.work)
+
+    # results in block order
     with ThreadPoolExecutor(max_workers=n_threads) as ex:
-        g, f = map(np.concatenate, zip(*ex.map(
-            lambda b: _block_moments(cfg, phi_grid, b), range(cfg.n_blocks))))
+        g, f = map(np.concatenate,
+                   zip(*ex.map(block_moments, range(cfg.n_blocks))))
 
     fc = f - f.mean(axis=0)
     sff = (fc * fc).sum(axis=0)

@@ -254,6 +254,17 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="unknown experiment kind 'sweep'"):
             experiments.run_experiment("sweep", {})
 
+    @pytest.mark.parametrize("env", ["0", "two"])
+    def test_bad_thread_count_is_config_error(self, tmp_path, capsys,
+                                              monkeypatch, env):
+        # 0 ran one thread, and "two" raised int()'s own message
+        monkeypatch.setenv("HIDACUR_THREADS", env)
+        cfg = write_config(tmp_path, "c.json", {
+            "n_paths": 64, "n_steps": 16, "stderr_fraction": None})
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "HIDACUR_THREADS must be an integer >= 1" in (
+            capsys.readouterr().err)
+
     def test_null_mc_seed_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "n_paths": 64, "n_steps": 16, "stderr_fraction": None,

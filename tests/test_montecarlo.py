@@ -1,8 +1,12 @@
 """Deterministic parallel Monte Carlo verification of the closed forms."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +17,8 @@ from hidacur import (CurrentParams, MCConfig, TestFunction, mc_s_transform,
                      simulate_increments)
 from hidacur import montecarlo
 from hidacur.experiments import MC_ACCEPTANCE_CASES, mc_acceptance_phi
-from hidacur.montecarlo import BLOCK_SIZE, _box_muller, default_threads
+from hidacur.montecarlo import (BLOCK_SIZE, CHUNK_PATHS, _box_muller,
+                                default_threads)
 
 
 def small_cfg(**kw):
@@ -444,30 +449,81 @@ class TestMCSTransform:
 
     def test_one_draw_and_one_kernel_call_per_block(self, monkeypatch):
         # perfbench's tracer splits block time into rng and kernel by
-        # wrapping these module globals; each must run once per block and
-        # draw one path per pair
+        # wrapping these module globals, and its own test pins one call of
+        # each per block.  The draw call opens the block's stream and sizes
+        # the block, one path per pair; the kernel then draws each chunk of
+        # CHUNK_PATHS drawn paths in stream order and reads it once: its
+        # (g, f) are the kernel's on the whole block's array, bit for bit
         cfg = MCConfig(d=2, T=1.0, x=(0.5, 0.0), n_paths=2 * BLOCK_SIZE + 37,
                        n_steps=8, eps2=0.05, seed=3)
-        calls = {"rng": [], "kernel": [], "block": []}
+        phi = TestFunction([[0.5], [0.3]])
+        calls = {"rng": [], "kernel": [], "block": [], "chunks": []}
+        rng = montecarlo.simulate_increments
+        kernel = montecarlo.mollified_current_sample
+        box_muller = montecarlo._box_muller
+        block_moments = montecarlo._block_moments
 
-        def counting(name, fn):
-            def wrapper(*args):
-                out = fn(*args)
-                calls[name].append(out)
-                return out
-            return wrapper
+        def drawing(cfg, block, *args):
+            out = rng(cfg, block, *args)
+            calls["rng"].append((block, out.size))
+            return out
 
-        for name, attr in [("rng", "simulate_increments"),
-                           ("kernel", "mollified_current_sample"),
-                           ("block", "_block_moments")]:
-            monkeypatch.setattr(montecarlo, attr,
-                                counting(name, getattr(montecarlo, attr)))
-        mc_s_transform(cfg, TestFunction([[0.5], [0.3]]), n_threads=2)
-        assert {k: len(v) for k, v in calls.items()} == {
-            "rng": 3, "kernel": 3, "block": 3}
-        assert sorted(inc.size for inc in calls["rng"]) == sorted(
-            math.ceil(cfg.block_paths(b) / 2) * cfg.n_steps * cfg.d
-            for b in range(3))
+        def running(cfg, draws, *args):
+            out = kernel(cfg, draws, *args)
+            calls["kernel"].append((draws, [a.copy() for a in out]))
+            return out
+
+        def chunk(bitgen, z, var):
+            box_muller(bitgen, z, var)
+            calls["chunks"].append(z.size)
+
+        def block(cfg, phi_grid, b, *args):
+            calls["block"].append(b)
+            return block_moments(cfg, phi_grid, b, *args)
+
+        for attr, fn in [("simulate_increments", drawing),
+                         ("mollified_current_sample", running),
+                         ("_box_muller", chunk), ("_block_moments", block)]:
+            monkeypatch.setattr(montecarlo, attr, fn)
+        mc_s_transform(cfg, phi, n_threads=2)
+        pairs = [(cfg.block_paths(b) + 1) // 2 for b in range(cfg.n_blocks)]
+        assert sorted(calls["block"]) == list(range(cfg.n_blocks))
+        assert sorted(calls["rng"]) == [
+            (b, p * cfg.n_steps * cfg.d) for b, p in enumerate(pairs)]
+        assert sum(calls["chunks"]) == (
+            math.ceil(cfg.n_paths / 2) * cfg.n_steps * cfg.d)
+        assert len(calls["chunks"]) == sum(
+            math.ceil(p / CHUNK_PATHS) for p in pairs)
+        assert len(calls["kernel"]) == cfg.n_blocks
+        grid = phi.eval_all(np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
+        for draws, (g, f) in calls["kernel"]:
+            whole = kernel(cfg, rng(cfg, draws.block), grid)
+            assert np.array_equal(g, whole[0]) and np.array_equal(f, whole[1])
+
+    def test_one_workspace_per_worker_bounds_allocation(self):
+        # criterion 5's d = 2 case at 2,048 paths and 4,096 steps: a block's
+        # increments alone are 16 MiB, and one thread's workspace 3.5 MiB;
+        # tracemalloc's peak was 18.8 MiB with a block-sized array per block
+        case = next(c for c in MC_ACCEPTANCE_CASES if c["d"] == 2)
+        cfg = MCConfig(d=2, T=1.0, x=tuple(case["x"]), n_paths=2048,
+                       n_steps=4096, eps2=case["eps2"], seed=case["seed"])
+        phi = mc_acceptance_phi(2, case["eps2"])
+        mc_s_transform(cfg, phi, n_threads=1)
+        tracemalloc.start()
+        try:
+            mc_s_transform(cfg, phi, n_threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 2 ** 20
+
+    @pytest.mark.parametrize("n_threads", [0, -2, 2.5, True, "2"])
+    def test_thread_count_not_a_positive_integer_rejected(self, n_threads):
+        # True ran one thread, 2.5 was accepted and 0 meant the default
+        with pytest.raises(ValueError, match=(
+                f"n_threads must be an integer >= 1, got {n_threads!r}")):
+            mc_s_transform(small_cfg(n_paths=8, n_steps=4),
+                           TestFunction([[0.5]]), n_threads=n_threads)
 
     def test_stderr_shrinks_like_inverse_sqrt_n(self):
         stderrs = []
@@ -524,7 +580,43 @@ class TestDeterminism:
         monkeypatch.setenv("HIDACUR_THREADS", "3")
         assert default_threads() == 3
         monkeypatch.delenv("HIDACUR_THREADS")
-        assert default_threads() >= 1
+        assert default_threads() == min(8, len(os.sched_getaffinity(0)))
+
+    @pytest.mark.parametrize("env, shown", [
+        ("0", "0"), ("-4", "-4"), ("two", "'two'"), ("2.5", "'2.5'")])
+    def test_env_var_not_a_positive_integer_rejected(self, monkeypatch, env,
+                                                     shown):
+        # 0 and -4 ran one thread, and "two" raised int()'s message, which
+        # did not name the variable
+        monkeypatch.setenv("HIDACUR_THREADS", env)
+        with pytest.raises(ValueError, match=re.escape(
+                f"HIDACUR_THREADS must be an integer >= 1, got {shown}")):
+            default_threads()
+
+    # (d, n_steps): SHA-256 of the estimate body at n_paths = 2 BLOCK_SIZE +
+    # 37, whose last block of 37 paths draws 19, a partial chunk; neither
+    # step count is a multiple of SCAN_STEPS
+    PINNED_BODIES = {
+        (1, 4090): "e27c3feb456434f35a0036374c7123656a21c05219e9a6aba18b054c0bfd5326",
+        (2, 4090): "0a754ccea4e3fe56bccd823adf6d4d7aacb667d3d20929c571760965edc2cbd7",
+        (3, 4090): "077b9a2d01458cc7129983807611d6780f248f12e095c9c33ac2e194faa862ee",
+        (1, 17): "274541eb2a56c14f219648eea277a3407a38fb33e0521d6f8c1da4dbfacb0cf9",
+        (2, 17): "96ce214a5015266caad092ae1edfbab1de4ed5876f3aec6de72a2cff63d63749",
+        (3, 17): "8b2bfee629e516d7f436ef8b2be36ba82896ba132375964bf978c9b05dfdcb53",
+    }
+
+    @pytest.mark.parametrize("n_threads", [1, 3])
+    @pytest.mark.parametrize("d, n_steps", list(PINNED_BODIES))
+    def test_pinned_bodies(self, d, n_steps, n_threads):
+        # any change to the draws, the kernel or the chunk loop that moves
+        # a bit of the estimate changes its body's digest
+        cfg = MCConfig(d=d, T=1.0, x=(0.3, -0.2, 0.1)[:d],
+                       n_paths=2 * BLOCK_SIZE + 37, n_steps=n_steps,
+                       eps2=0.05, seed=20261020)
+        phi = TestFunction([[0.5, -0.2], [0.3], [-0.4, 0.1]][:d])
+        body = mc_s_transform(cfg, phi, n_threads=n_threads).to_json()
+        assert hashlib.sha256(body.encode()).hexdigest() == \
+            self.PINNED_BODIES[d, n_steps]
 
 
 class TestSerialization:
