@@ -30,12 +30,15 @@ holds:
     from 2 to 12 and 16 angles: median and quartiles of 15 interleaved
     repeats, each the mean of a batch of calls;
   * "mc_block": for each of criterion 5's four cases, one 1,024-path block
-    at 4,096 steps: the normals drawn and the median and quartiles, over 7
-    interleaved repeats, of the ms of simulate_increments and
-    mollified_current_sample on the whole block and of _block_moments
-    streaming it through one reused workspace, at one thread; and
-    "alloc_peak_kib", tracemalloc's peak over one warm mc_s_transform of
-    the case at 4,096 / d paths, at 1 thread and at the usable CPU count;
+    at 4,096 steps, through one reused workspace as an mc_s_transform
+    worker runs it: the normals drawn and the median and quartiles, over 7
+    interleaved repeats, of the ms of drawing the block chunk by chunk
+    into the workspace ("rng_ms"), of mollified_current_sample on the
+    block drawn beforehand ("kernel_ms") and of _block_moments, which
+    draws each chunk just before the kernel reads it ("block_ms"), at one
+    thread; and "alloc_peak_kib", tracemalloc's peak over one warm
+    mc_s_transform of the case at 4,096 / d paths, at 1 thread and at the
+    usable CPU count;
   * "perfbench": the last JSON line of perfbench/run.py --seed 1 for each
     workload, run for BENCHMARK.json's run_seconds;
   * "acceptance": per criterion 1-8, the wall time of its config at
@@ -221,11 +224,16 @@ def mc_block(repeats=7):
         phi = mc_acceptance_phi(d, case["eps2"])
         phi_grid = phi.eval_all(np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
         inc = montecarlo.simulate_increments(cfg, 0)
-        work = montecarlo._Workspace(montecarlo._kernel_constants(
-            cfg, phi_grid, montecarlo.DTYPE))
+        work = montecarlo._Workspace(cfg, phi_grid)
+
+        def draw():  # every chunk of block 0 into work
+            for _ in montecarlo.simulate_increments(cfg, 0, work.increments):
+                pass
+
         rng, kernel, block = interleaved([
-            lambda: montecarlo.simulate_increments(cfg, 0),
-            lambda: montecarlo.mollified_current_sample(cfg, inc, phi_grid),
+            draw,
+            lambda: montecarlo.mollified_current_sample(cfg, inc, phi_grid,
+                                                        work),
             lambda: montecarlo._block_moments(cfg, phi_grid, 0, work)],
             repeats)
         rows.append({
@@ -262,12 +270,14 @@ def perfbench(workload):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def timed_run(config, threads):
+def timed_run(config, threads=None):
     """(wall seconds, record) of one config, run as the kind it names, at
-    HIDACUR_THREADS=threads."""
+    HIDACUR_THREADS=threads, or in the environment as it is when threads is
+    None."""
     with open(ROOT / "configs" / config) as fh:
         knobs = json.load(fh)
-    with mock.patch.dict(os.environ, {"HIDACUR_THREADS": str(threads)}):
+    env = {} if threads is None else {"HIDACUR_THREADS": str(threads)}
+    with mock.patch.dict(os.environ, env):
         t0 = time.perf_counter()
         record = run_experiment(knobs["kind"], knobs)
         return time.perf_counter() - t0, record

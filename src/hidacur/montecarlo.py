@@ -12,9 +12,9 @@ ceil(n/2) paths.  A block is streamed one chunk of ``CHUNK_PATHS`` drawn
 paths at a time: the kernel draws each chunk from the block's stream into
 its worker's workspace just before it reads it, while the chunk's
 increments (512 KiB per component at 4,096 steps) are still in the core's
-L2 cache, and keeps only the chunk's (g, f) sums.  So a worker holds one
-workspace, 3.0 MiB at d = 1 and 3.5 MiB at d = 2 at 4,096 steps, not a
-block's increments (8 and 16 MiB); streams stay keyed per block.  Paths
+L2 cache, and keeps only the chunk's (g, f) sums.  So a worker holds its
+own kernel constants and chunk buffers, 3.0 MiB at d = 1 and 3.6 MiB at
+d = 2 at 4,096 steps, not a block's increments (8 and 16 MiB).  Paths
 are drawn and summed in ``DTYPE`` (float32), and each block returns its
 pair means in float64.  By Cameron-Martin the S-transform is
 the mean on the shifted path, S F(phi) = E[F(w + phi)] (Kuo, White Noise
@@ -61,7 +61,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -224,57 +223,49 @@ def _box_muller(bitgen, z, var):
 
 
 class _Workspace:
-    """One worker's arrays for chunks of up to ``paths`` drawn paths, reused
-    by every chunk it runs, and the kernel's constants ``const``, which
-    every worker of one ``mc_s_transform`` call shares read-only.
+    """One worker's set-up for cfg at phi_grid (phi at the left endpoints,
+    (d, n_steps)) in dtype, built once per worker and reused by every chunk
+    of ``CHUNK_PATHS`` drawn paths it runs: the kernel's constants, 64 KiB
+    at d = 2 and 4,096 steps, and its arrays.
 
-    The sampler's (paths, d, n_steps) increments and the kernel's scan
-    buffer, scaled B, scratch and q are slices of one zeroed buffer, which
-    glibc's malloc then keeps for the next call's: as five separate arrays
-    they cost about 2,050 minor page faults per mc-grid op against 9.  The
-    scan buffer's column 0 holds each scan block's exclusive offset and
-    columns 1.. its increments; past n_steps and in block 0's offset it
-    stays zero, as no chunk writes there.
+    The constants are log_norm, the scaled centre and the drift, each (d,
+    n_steps), the scan matrix and ones vector, and the scan layout: scan
+    blocks per BLAS call (per_call), and scan blocks zero-padded to a
+    multiple of it (blocks).  The sampler's (CHUNK_PATHS, d, n_steps)
+    increments and the kernel's scan buffer, scaled B, scratch and q are
+    slices of one zeroed buffer, which glibc's malloc then keeps for the
+    next call's: as five separate arrays they cost about 2,050 minor page
+    faults per mc-grid op against 9.  The scan buffer's column 0 holds each
+    scan block's exclusive offset and columns 1.. its increments; past
+    n_steps and in block 0's offset it stays zero, as no chunk writes there.
     """
 
-    def __init__(self, const, paths=CHUNK_PATHS):
-        d, m = const.centre.shape
-        blocks = const.blocks
-        shapes = [(paths, d, m), (paths, blocks, SCAN_STEPS + 1),
-                  (paths, blocks * SCAN_STEPS), (paths, m), (2, paths, m)]
+    def __init__(self, cfg, phi_grid, dtype=DTYPE):
+        d, m = cfg.d, cfg.n_steps
+        scale = 1.0 / math.sqrt(2.0 * cfg.eps2)
+        self.log_norm = -0.5 * d * math.log(2.0 * math.pi * cfg.eps2)
+        drift = np.asarray(phi_grid) * (cfg.T / m)           # phi_j(t_k) dt
+        # the scaled centre x_j - c_j(t_k) both rows share, and the drift
+        self.centre, self.drift = np.array(
+            [(np.asarray(cfg.x)[:, None] + drift - drift.cumsum(axis=1))
+             * scale, drift], dtype=dtype)
+        # scan matrix: row 0 adds the block's offset, rows 1.. the scaled
+        # increments before each step of the block
+        self.scan = np.zeros((SCAN_STEPS + 1, SCAN_STEPS), dtype=dtype)
+        self.scan[0] = 1.0
+        self.scan[1:] = np.triu(np.full((SCAN_STEPS, SCAN_STEPS), scale), k=1)
+        self.ones = np.full(SCAN_STEPS, scale, dtype=dtype)
+        self.per_call = min(-(-m // SCAN_STEPS), SCAN_BLOCKS)
+        self.blocks = -(-m // (SCAN_STEPS * self.per_call)) * self.per_call
+        p = CHUNK_PATHS
+        shapes = [(p, d, m), (p, self.blocks, SCAN_STEPS + 1),
+                  (p, self.blocks * SCAN_STEPS), (p, m), (2, p, m)]
         sizes = [math.prod(shape) for shape in shapes]
-        flat = np.zeros(sum(sizes), dtype=const.centre.dtype)
-        self.const = const
+        flat = np.zeros(sum(sizes), dtype=dtype)
         # q holds |B -+ centre|^2, then log p, then p
         self.increments, self.buf, self.b, self.s, self.q = (
             part.reshape(shape) for part, shape in
             zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
-
-
-def _kernel_constants(cfg, phi_grid, dtype):
-    """The kernel's per-config constants for phi_grid (phi at the left
-    endpoints, (d, n_steps)) in dtype: log_norm, the scaled centre and the
-    drift, each (d, n_steps), the scan matrix and ones vector, and the scan
-    layout (scan blocks per BLAS call, and scan blocks zero-padded to a
-    multiple of it)."""
-    m = cfg.n_steps
-    scale = 1.0 / math.sqrt(2.0 * cfg.eps2)
-    drift = np.asarray(phi_grid) * (cfg.T / m)           # phi_j(t_k) dt
-    # the scaled centre x_j - c_j(t_k) both rows share, and the drift
-    centre, drift = np.array([(np.asarray(cfg.x)[:, None] + drift
-                               - drift.cumsum(axis=1)) * scale, drift],
-                             dtype=dtype)
-    # scan matrix: row 0 adds the block's offset, rows 1.. the scaled
-    # increments before each step of the block
-    scan = np.zeros((SCAN_STEPS + 1, SCAN_STEPS), dtype=dtype)
-    scan[0] = 1.0
-    scan[1:] = np.triu(np.full((SCAN_STEPS, SCAN_STEPS), scale), k=1)
-    per_call = min(-(-m // SCAN_STEPS), SCAN_BLOCKS)
-    return SimpleNamespace(
-        log_norm=-0.5 * cfg.d * math.log(2.0 * math.pi * cfg.eps2),
-        centre=centre, drift=drift, scan=scan,
-        ones=np.full(SCAN_STEPS, scale, dtype=dtype), per_call=per_call,
-        blocks=-(-m // (SCAN_STEPS * per_call)) * per_call)
 
 
 def mollified_current_sample(cfg, increments, phi_grid, work=None):
@@ -291,11 +282,11 @@ def mollified_current_sample(cfg, increments, phi_grid, work=None):
     centre x - c enter scaled by 1/sqrt(2 eps2), so the log-density is
     log_norm - sum_j (scaled B_j -+ scaled centre_j)^2.
 
-    work is a ``_Workspace`` built for cfg and phi_grid in the increments'
-    dtype, which a worker reuses for every chunk of its blocks; by default
-    one is built for this call.  A ``_Draws`` is drawn into work's
-    increments one chunk at a time, each chunk just before the kernel reads
-    it, while it is still in the core's cache.
+    work is a ``_Workspace`` for cfg and phi_grid in the increments' dtype,
+    built once per worker and reused for every chunk of its blocks; by
+    default one is built for this call.  A ``_Draws`` is drawn into work's
+    increments one chunk at a time, each just before the kernel reads it,
+    while it is still in the core's cache.
     """
     if isinstance(increments, _Draws):
         inc = chunks = increments
@@ -305,13 +296,11 @@ def mollified_current_sample(cfg, increments, phi_grid, work=None):
                   for lo in range(0, len(inc), CHUNK_PATHS))
     n, m, d = inc.shape
     if work is None:
-        work = _Workspace(_kernel_constants(cfg, phi_grid, inc.dtype),
-                          min(n, CHUNK_PATHS))
-    c = work.const
+        work = _Workspace(cfg, phi_grid, inc.dtype)
     full, rem = divmod(m, SCAN_STEPS)
 
     def stacked(a):  # (paths, blocks, k) as (calls, per_call, k)
-        return a.reshape(-1, c.per_call, a.shape[-1])
+        return a.reshape(-1, work.per_call, a.shape[-1])
 
     g, f = np.empty((2, 2, n, d), dtype=inc.dtype)
     for lo, chunk in chunks:
@@ -324,23 +313,23 @@ def mollified_current_sample(cfg, increments, phi_grid, work=None):
                 p, full, SCAN_STEPS)
             if rem:
                 bufk[:, full, 1:rem + 1] = steps[:, full * SCAN_STEPS:]
-            totals = np.matmul(stacked(bufk[:, :, 1:]), c.ones)
-            np.cumsum(totals.reshape(p, c.blocks)[:, :-1], axis=1,
+            totals = np.matmul(stacked(bufk[:, :, 1:]), work.ones)
+            np.cumsum(totals.reshape(p, work.blocks)[:, :-1], axis=1,
                       out=bufk[:, 1:, 0])
-            np.matmul(stacked(bufk), c.scan, out=stacked(bk.reshape(
-                p, c.blocks, SCAN_STEPS)))
+            np.matmul(stacked(bufk), work.scan, out=stacked(bk.reshape(
+                p, work.blocks, SCAN_STEPS)))
             for qr, sign in zip(qk, (-1.0, 1.0)):
                 term = qr if j == 0 else sk
-                term[:] = sign * c.centre[j]  # faster than a broadcast add
+                term[:] = sign * work.centre[j]  # faster than a broadcast add
                 np.square(np.add(term, bk[:, :m], out=term), out=term)
                 if j:
                     qr += term
-        np.subtract(c.log_norm, qk, out=qk)
+        np.subtract(work.log_norm, qk, out=qk)
         np.maximum(qk, -72.0, out=qk)  # no subnormal densities (see above)
         dens = np.exp(qk, out=qk)
         for j in range(d):
             np.vecdot(dens, chunk[:, :, j], out=f[:, rows, j])
-            np.vecdot(dens, c.drift[j], out=g[:, rows, j])
+            np.vecdot(dens, work.drift[j], out=g[:, rows, j])
     f[1] *= -1.0
     g += f
     return g, f
@@ -350,12 +339,12 @@ def _block_moments(cfg, phi_grid, block, work=None):
     """One block's pair means (g, f), each (pairs, d) float64: g of the
     shifted current, f of its Ito part.
 
-    The kernel draws each chunk of ``CHUNK_PATHS`` drawn paths into work (a
-    ``_Workspace`` for cfg and phi_grid in ``DTYPE``, by default one built
-    for this block) as it reaches it, so no array holds the whole block.
+    The kernel draws each chunk of ``CHUNK_PATHS`` drawn paths into work,
+    the worker's ``_Workspace`` for cfg and phi_grid (by default one built
+    for this block), as it reaches it, so no array holds the whole block.
     """
     if work is None:
-        work = _Workspace(_kernel_constants(cfg, phi_grid, DTYPE))
+        work = _Workspace(cfg, phi_grid)
     draws = simulate_increments(cfg, block, work.increments)
     # float64 regardless of the path dtype
     return tuple(0.5 * row.astype(np.float64).sum(axis=0) for row in
@@ -382,11 +371,11 @@ def mc_s_transform(cfg, phi, n_threads=None):
     n_paths evaluates one extra mirrored path.  Blocks are independent work
     units on n_threads worker threads (by default ``default_threads()``),
     and their pair means are joined in block order, so the estimate is
-    bit-identical for any thread count.  The kernel's constants are built
-    once per call and shared; each worker allocates one workspace, 3.5 MiB
-    at 4,096 steps and d = 2, and streams each of its blocks through it a
-    chunk at a time.  Holding the pair means costs 32 bytes per pair
-    and component: 3.2 MB for 100,000 pairs at d = 2.
+    bit-identical for any thread count.  Each worker builds one workspace
+    per call, its own kernel constants and chunk buffers (3.6 MiB at 4,096
+    steps and d = 2, 64 KiB of it constants), and streams each of its
+    blocks through it a chunk at a time.  Holding the pair means costs 32
+    bytes per pair and component: 3.2 MB for 100,000 pairs at d = 2.
 
     The Ito part f of the shifted current g, whose mean is exactly zero for
     -w as for w, is subtracted as a control variate, h = g - beta f, with
@@ -399,12 +388,11 @@ def mc_s_transform(cfg, phi, n_threads=None):
     n_threads = (default_threads() if n_threads is None
                  else check_int("n_threads", n_threads, 1))
     phi_grid = phi.eval_all(np.arange(cfg.n_steps) * (cfg.T / cfg.n_steps))
-    const = _kernel_constants(cfg, phi_grid, DTYPE)
     local = threading.local()  # each worker's workspace
 
     def block_moments(block):
         if not hasattr(local, "work"):
-            local.work = _Workspace(const)
+            local.work = _Workspace(cfg, phi_grid)
         # _block_moments is looked up as a global per call
         return _block_moments(cfg, phi_grid, block, local.work)
 

@@ -228,7 +228,10 @@ def current_ufunctional(p, i, tol=1e-12):
     """Component i of the current S-transform as a U-functional in z.
 
     A vector of z is integrated in one quadrature, each z a row held to tol
-    on one shared mesh.  i is checked against p.d here."""
+    on one shared mesh.  i is checked against p.d here.  tol is absolute
+    per z row and |F| can grow like exp(|z|^2 ||phi||^2 / 2), so on an
+    unnormalised phi |z| >~ 2 can ask for digits below rounding and raise
+    ``QuadratureBudgetError``; the runners use unit-L^2 phi."""
     check_int("component index", i, 0, p.d, IndexError)
 
     def f(z, phi):

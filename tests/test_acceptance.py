@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each driven by its shipped
 config, each emitting a single pass/fail line.  The configs and time gates
-are scripts/bench_snapshot.py's CRITERIA table, which the snapshot reports.
+are scripts/bench_snapshot.py's CRITERIA table, which the snapshot reports,
+and each config is run and timed by that script's timed_run.
 
 Criterion 8 reruns criterion 5's config under HIDACUR_THREADS=1 and =8 and
 compares the serialized MCEstimate bodies bit for bit; the thread-1 run is
@@ -8,41 +9,30 @@ shared with criterion 5 to avoid paying for the heavy grid three times.
 """
 
 import importlib.util
-import json
 import os
-import time
-from unittest import mock
 
 import pytest
-
-from hidacur.experiments import run_experiment
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
-def _criteria():
+def _bench_snapshot():
     path = os.path.join(ROOT, "scripts", "bench_snapshot.py")
     spec = importlib.util.spec_from_file_location("bench_snapshot", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.CRITERIA
+    return module
 
 
-# criterion: (config, time gate in s)
-CRITERIA = _criteria()
+BENCH_SNAPSHOT = _bench_snapshot()
 
 
 def run_criterion(n, env_threads=None):
     """Record of criterion n's config, run as the kind it names, with its
     wall time as "elapsed" and its time gate as "gate"."""
-    name, gate = CRITERIA[n]
-    with open(os.path.join(ROOT, "configs", name)) as fh:
-        knobs = json.load(fh)
-    env = {} if env_threads is None else {"HIDACUR_THREADS": str(env_threads)}
-    with mock.patch.dict(os.environ, env):
-        t0 = time.perf_counter()
-        record = run_experiment(knobs["kind"], knobs)
-        record["elapsed"] = time.perf_counter() - t0
+    name, gate = BENCH_SNAPSHOT.CRITERIA[n]  # (config, time gate in s)
+    elapsed, record = BENCH_SNAPSHOT.timed_run(name, env_threads)
+    record["elapsed"] = elapsed
     record["gate"] = gate
     return record
 

@@ -5,13 +5,13 @@ import json
 import math
 import os
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hidacur import cli, experiments, stransform
 from hidacur.cli import main
+from hidacur.quad import QuadResult
 from hidacur.stransform import BoundFit
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -279,7 +279,7 @@ class TestFailedCheck:
     @pytest.mark.parametrize("kind, knobs, name, nan", [
         ("gamma-check", {"d_values": [1, 2], "r_values": [1.0],
                          "T_values": [1.0]},
-         "integrate_singular", SimpleNamespace(value=math.nan)),
+         "integrate_singular", QuadResult(math.nan, 0.0, 0, 0)),
         ("chaos", {"order": 1, "n_instances": 3},
          "first_chaos_pairing_closed", math.nan),
         ("chaos", {"order": 2, "n_instances": 3},

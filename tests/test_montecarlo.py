@@ -517,6 +517,23 @@ class TestMCSTransform:
             tracemalloc.stop()
         assert peak <= 6.5 * 2 ** 20
 
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_one_workspace_built_per_worker(self, monkeypatch, n_threads):
+        # a workspace per block would rebuild its constants and buffers for
+        # each of the 4 blocks
+        built = []
+
+        class Counted(montecarlo._Workspace):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_Workspace", Counted)
+        cfg = small_cfg(n_paths=4 * BLOCK_SIZE, n_steps=16)
+        assert cfg.n_blocks == 4
+        mc_s_transform(cfg, TestFunction([[0.5, 0.2]]), n_threads=n_threads)
+        assert 1 <= len(built) <= n_threads
+
     @pytest.mark.parametrize("n_threads", [0, -2, 2.5, True, "2"])
     def test_thread_count_not_a_positive_integer_rejected(self, n_threads):
         # True ran one thread, 2.5 was accepted and 0 meant the default
