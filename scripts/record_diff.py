@@ -2,12 +2,13 @@
 
     python3 scripts/record_diff.py <other-tree>
 
-Runs every configs/*.json of this tree through run_experiment once with
-this tree's src and once with <other-tree>/src, each in its own Python
-process, and drops wall_time_s.  Prints, per field (list indices folded,
-so 01_gamma_check.json.rows[].closed is one field), how many values
-changed and the largest absolute and relative change, or "-" where no
-number changed.  A string that holds a JSON object or list, such as an
+Runs every <tree>/configs/*.json through run_experiment with <tree>/src,
+for this tree and for <other-tree>, each in its own Python process, drops
+wall_time_s and pairs the two trees' records by config file name, so each
+tree runs the configs its own kinds take.  Prints, per field (list indices
+folded, so 01_gamma_check.json.rows[].closed is one field), how many
+values changed and the largest absolute and relative change, or "-" where
+no number changed.  A string that holds a JSON object or list, such as an
 estimate body, is unfolded into fields of its own, e.g.
 05_mc_grid.json.rows[].estimate_body.mean[].  Exits 1 if any "passed" flag
 differs.
@@ -40,8 +41,10 @@ print(json.dumps(records))
 
 
 def records(tree):
-    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
-    out = subprocess.run([sys.executable, "-c", CHILD, str(ROOT / "configs")],
+    """{config file name: record} of every config of tree, run with its src."""
+    tree = Path(tree).resolve()
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = subprocess.run([sys.executable, "-c", CHILD, str(tree / "configs")],
                          cwd=tree, env=env, capture_output=True, text=True,
                          check=True)
     return json.loads(out.stdout)

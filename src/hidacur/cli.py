@@ -2,10 +2,11 @@
 
     hidacur <kind> --config <path> [--out <dir>] [--seed <u64>]
 
-Each kind runs one experiment runner and writes ``<kind>.json`` (and, with
-row data, a ``<kind>.csv`` of JSON-text cells) into ``--out``; records are
-idempotent given the config apart from the wall-time field.  Both are strict
-JSON: a NaN or infinite value is written as null.
+Each kind runs its one runner in experiments.EXPERIMENT_KINDS on the
+config's keys and writes ``<kind>.json`` (and, with row data, a
+``<kind>.csv`` of JSON-text cells) into ``--out``; records are idempotent
+given the config apart from the wall-time field.  Both are strict JSON: a
+NaN or infinite value is written as null.
 
 Exit codes:
     0   success

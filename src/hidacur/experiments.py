@@ -1,14 +1,15 @@
 """Batch experiment runners shared by the CLI and the acceptance suite.
 
-A config's keys are its runner's keyword parameters, so Python refuses a
-key the runner does not take, as it refuses a stray key of an mc case
-(_mc_case) or an inline phi (TestFunction); from_json refuses one in a phi
-file.  Every seed, null and true included, passes errors.check_seed, and
-every count and tolerance errors.check_int or errors.check_positive.  Each
-runner returns a JSON-able record with outputs and error estimates, and a
-pass flag if it ran a check (a single stransform or mollified evaluation
-runs none); run_experiment refuses a check with no rows and echoes the
-inputs.  The default parameters reproduce the acceptance grid exactly.
+EXPERIMENT_KINDS maps each kind to its one runner, and a config's keys are
+that runner's keyword parameters, so Python refuses a key the runner does
+not take, as it refuses a stray key of an mc case (_mc_case) or an inline
+phi (TestFunction); from_json refuses one in a phi file.  Every seed, null
+and true included, passes errors.check_seed, and every count and tolerance
+errors.check_int or errors.check_positive.  Each runner returns a JSON-able
+record with outputs and error estimates, and a pass flag if it ran a check
+(a single stransform or mollified evaluation runs none); run_experiment
+refuses a check with no rows and echoes the inputs.  The default
+parameters reproduce the acceptance grid exactly.
 """
 
 from __future__ import annotations
@@ -144,12 +145,10 @@ def _evaluate(current, x, T, phi, *args, tol=1e-10):
             "node_count": res.node_count}
 
 
-def run_stransform(sweep=False, **knobs):
-    """Closed-form current S-transform on one parameter set: x, T, phi and
-    tol.  At x = 0 with d > 1 it raises NonexistenceError (exit code 4 in
-    the CLI).  With "sweep": true it runs run_existence on the other knobs
-    instead."""
-    return run_existence(**knobs) if sweep else _evaluate(s_current, **knobs)
+def run_stransform(x, T, phi, tol=1e-10):
+    """Closed-form current S-transform on one parameter set.  At x = 0 with
+    d > 1 it raises NonexistenceError (exit code 4 in the CLI)."""
+    return _evaluate(s_current, x, T, phi, tol=tol)
 
 
 def run_mollified(x, T, phi, eps2, tol=1e-10):
@@ -196,16 +195,7 @@ def _chaos_instances(seed, n_instances):
         yield d, x, i, p, phi, current_ufunctional(p, i, tol=1e-13)
 
 
-def run_chaos(order=1, **knobs):
-    """Chaos consistency (CLI kind): numeric extraction vs closed forms.
-
-    "order": 1 (default) checks the first-chaos pairing; "order": 2 runs the
-    second-chaos convention arbitration."""
-    check_int("order", order, 1, 3)
-    return (_first_chaos if order == 1 else run_second_chaos)(**knobs)
-
-
-def _first_chaos(seed=20260301, n_instances=50, atol=1e-8):
+def run_chaos(seed=20260301, n_instances=50, atol=1e-8):
     """First-chaos pairing, numeric extraction vs closed form (criterion 3)."""
     atol = check_positive("atol", atol)
     rows = []
@@ -348,7 +338,9 @@ EXPERIMENT_KINDS = {
     "gamma-check": run_gamma_check,
     "stransform": run_stransform,
     "mollified": run_mollified,
+    "existence": run_existence,
     "chaos": run_chaos,
+    "second-chaos": run_second_chaos,
     "mc": run_mc,
     "diverge": run_diverge,
     "ubound": run_ubound,

@@ -46,6 +46,11 @@ against the same increments in float64, its (g, f) on criterion 5's cases
 are within 12 float32 epsilons of the largest sample, the serial sum's
 within 68.
 
+Threads overlap only where numpy drops the GIL, which a gufunc does past
+500 outer iterations; a chunk has 64.  So its Ito sums (np.vecdot) and
+offset cumsum run one thread at a time, and on 2 vCPUs each of two threads
+runs a block in 1.1x a lone block's time, each of two processes in 1.0x.
+
 The kernel floors the log-density at -72 before exponentiating.  Below
 about -87 a float32 exp is subnormal, and exp and the sum over subnormals
 run over 10x slower.  The floored density e^-72 ~ 5e-32 times any increment
@@ -371,11 +376,10 @@ def mc_s_transform(cfg, phi, n_threads=None):
     n_paths evaluates one extra mirrored path.  Blocks are independent work
     units on n_threads worker threads (by default ``default_threads()``),
     and their pair means are joined in block order, so the estimate is
-    bit-identical for any thread count.  Each worker builds one workspace
-    per call, its own kernel constants and chunk buffers (3.6 MiB at 4,096
-    steps and d = 2, 64 KiB of it constants), and streams each of its
-    blocks through it a chunk at a time.  Holding the pair means costs 32
-    bytes per pair and component: 3.2 MB for 100,000 pairs at d = 2.
+    bit-identical for any thread count.  Each worker builds one
+    ``_Workspace`` per call and streams its blocks through it a chunk at a
+    time.  Holding the pair means costs 32 bytes per pair and component:
+    3.2 MB for 100,000 pairs at d = 2.
 
     The Ito part f of the shifted current g, whose mean is exactly zero for
     -w as for w, is subtracted as a control variate, h = g - beta f, with

@@ -22,13 +22,14 @@ at a + (b - a) u for the pair's nodes u on [0, 1]; one product of a sweep's
 48 values per panel with a constant (48, 2) weight matrix gives each
 panel's 32- and 16-point sums, and the error is their difference, exactly
 0 where the two round alike.  A panel is accepted when the pair agrees to
-max(tol (b - a) / U, tol / 8000), or when floating point cannot split it;
-otherwise it is bisected.  The panels are refined breadth first: one
-integrand call per sweep evaluates every open panel, and the accepted set
-does not depend on that order.  A sweep whose panels all pass ends the
-loop.  The integrand is never evaluated at t = 0.  A result always carries
-a summed error estimate <= tol; otherwise QuadratureBudgetError is raised
-with the sum accepted so far.
+max(tol (b - a) / U, tol / 8000), or when (b - a) times the smallest gap
+of u is under two spacings of b, so its halves' nodes could not all be
+distinct floats; otherwise it is bisected.  The panels are refined breadth
+first: one integrand call per sweep evaluates every open panel, and the
+accepted set does not depend on that order.  A sweep whose panels all pass
+ends the loop.  The integrand is never evaluated at t = 0.  A result always
+carries a summed error estimate <= tol; otherwise QuadratureBudgetError is
+raised with the sum accepted so far.
 
 Non-finite integrand values are caught on the panel errors: a NaN or inf
 among a panel's 48 values makes that panel's error non-finite, and only
@@ -77,6 +78,7 @@ _X32, _W32 = np.polynomial.legendre.leggauss(32)
 _U = 0.5 + 0.5 * np.concatenate([_X16, _X32])
 _W = np.stack([np.concatenate([np.zeros(16), _W32]),
                np.concatenate([_W16, np.zeros(32)])], axis=1)
+_GAP = np.diff(sorted(_U)).min()  # the smallest gap between nodes of _U
 
 
 def integrate_singular(f, T, sing_exponent, tol, damping=None):
@@ -101,12 +103,12 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None):
     complex value and a float error.
 
     The error estimate sums each accepted panel's |Q32 - Q16|, so it misses
-    what both rules miss alike, such as an integrable singularity inside
-    (0, T): (|t - 1/pi| + 1e-300)^(-1/2) on (0, 1] is off by 2.7e-8 at tol
-    1e-5 with an estimate of 4.4e-9, and by 6e133 at tol 1e-6, where a
-    panel's nodes round to two floats, one 1/pi, with 8e-10.  No kernel in
-    the package has one.  Below tol = eps |value|, rounding decides which
-    panels pass and the reported error.
+    what both rules miss alike.  An integrable singularity inside (0, T) is
+    bisected until a panel could not hold distinct nodes: (|t - 1/pi| +
+    1e-300)^(-1/2) on (0, 1] is off by 2.2e-8 at tol 1e-4 to 1e-7, within
+    estimates of 4.3e-8 to 5.7e-8, and misses tol 1e-8.  No kernel in the
+    package has one.  Below tol = eps |value|, rounding decides which panels
+    pass and the reported error.
     """
     T, tol = check_positive("T", T), check_positive("tol", tol)
     p = float(sing_exponent)
@@ -159,7 +161,7 @@ def integrate_singular(f, T, sing_exponent, tol, damping=None):
             err_total = err_total + err.sum(axis=-1)
             break
         mid = 0.5 * (a + b)
-        done |= ~((a < mid) & (mid < b))  # floating point cannot split it
+        done |= width * _GAP < 2.0 * np.spacing(b)  # nodes would collide
         total = total + val[..., done].sum(axis=-1)
         err_total = err_total + err[..., done].sum(axis=-1)
         keep = ~done

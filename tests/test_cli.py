@@ -1,6 +1,7 @@
 """CLI: config handling, exit codes, result records."""
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -140,14 +141,17 @@ class TestExitCodes:
                     + argv) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("order", [0, 3])
-    def test_chaos_order_other_than_1_or_2_is_config_error(
-            self, tmp_path, capsys, order):
+    @pytest.mark.parametrize("kind, order", [
+        ("chaos", 1), ("second-chaos", 2), ("chaos", 0), ("chaos", 3),
+        ("chaos", True)],
+        ids=["chaos-1", "second-chaos-2", "chaos-0", "chaos-3", "chaos-true"])
+    def test_order_key_is_config_error_that_names_it(
+            self, tmp_path, capsys, kind, order):
+        # each chaos order is a kind of its own, so no value of "order" runs
         cfg = write_config(tmp_path, "c.json", {"order": order,
                                                 "n_instances": 2})
-        assert main(["chaos", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert f"order must be an integer in [1, 3), got {order}" in (
-            capsys.readouterr().err)
+        assert main([kind, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "'order'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, knobs, shown", [
         ("stransform", {"x": [0.5], "T": True, "phi": phi_ref([[1.0]])},
@@ -157,9 +161,9 @@ class TestExitCodes:
                        "eps2": True}, "eps2 must be finite and > 0, got True"),
         ("stransform", {"x": [0.5], "T": 1.0, "phi": phi_ref([[1.0]]),
                         "tol": True}, "tol must be finite and > 0, got True"),
-        ("chaos", {"order": True, "n_instances": 2},
-         "order must be an integer in [1, 3), got True"),
-        ("chaos", {"order": 2, "n_instances": 3, "atol": True},
+        ("chaos", {"n_instances": 3, "atol": True},
+         "atol must be finite and > 0, got True"),
+        ("second-chaos", {"n_instances": 3, "atol": True},
          "atol must be finite and > 0, got True"),
         ("gamma-check", {"d_values": [1], "rtol": True},
          "rtol must be finite and > 0, got True"),
@@ -176,7 +180,7 @@ class TestExitCodes:
         ("diverge", {"d_values": [2.0]}, "d must be an integer >= 1, got 2.0"),
         ("ubound", {"n_samples": True},
          "n_samples must be an integer >= 1, got True"),
-        ("stransform", {"sweep": True, "n_nonzero": True},
+        ("existence", {"n_nonzero": True},
          "n_nonzero must be an integer >= 0, got True"),
         ("stransform", {"x": [0.5], "T": 1.0, "phi": phi_ref([[True, 0.3]])},
          "components must hold real numbers (no bools), got [True, 0.3]"),
@@ -185,10 +189,11 @@ class TestExitCodes:
         ("diverge", {"d_values": [1], "cutoffs": [True, 0.1, 0.01]},
          "cutoffs must hold real numbers (no bools), got [True, 0.1, 0.01]"),
     ], ids=["stransform-T-true", "diverge-T-true", "mollified-eps2-true",
-            "stransform-tol-true", "chaos-order-true", "chaos-atol-true",
+            "stransform-tol-true", "chaos-atol-true", "second-chaos-atol-true",
             "gamma-check-rtol-true", "mc-stderr-fraction-true",
             "stransform-x-true", "gamma-check-d-true", "gamma-check-d-2.0",
-            "diverge-d-true", "diverge-d-2.0", "ubound-n-samples-true", "stransform-sweep-n-nonzero-true",
+            "diverge-d-true", "diverge-d-2.0", "ubound-n-samples-true",
+            "existence-n-nonzero-true",
             "stransform-phi-components-true", "ubound-radii-true",
             "diverge-cutoffs-true"])
     def test_bool_or_out_of_range_value_names_its_key(
@@ -201,16 +206,17 @@ class TestExitCodes:
         assert shown in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, knobs, shown", [
-        ("chaos", {"order": 1, "n_instances": 0}, "n_instances"),
-        ("chaos", {"order": 2, "n_instances": -3}, "n_instances"),
+        ("chaos", {"n_instances": 0}, "n_instances"),
+        ("chaos", {"n_instances": -3}, "n_instances"),
+        ("second-chaos", {"n_instances": -3}, "n_instances"),
         ("ubound", {"n_samples": 0}, "n_samples"),
-        ("stransform", {"sweep": True, "n_nonzero": 0, "n_origin_d1": 0},
-         "stransform ran no check"),
+        ("existence", {"n_nonzero": 0, "n_origin_d1": 0},
+         "existence ran no check"),
         ("diverge", {"d_values": []}, "diverge ran no check"),
         ("gamma-check", {"d_values": []}, "gamma-check ran no check"),
         ("mc", {"cases": []}, "mc ran no check"),
-    ], ids=["chaos-0", "chaos-minus-3", "ubound-0", "stransform-sweep-0",
-            "diverge-empty", "gamma-check-empty", "mc-empty"])
+    ], ids=["chaos-0", "chaos-minus-3", "second-chaos-minus-3", "ubound-0",
+            "existence-0", "diverge-empty", "gamma-check-empty", "mc-empty"])
     def test_check_that_runs_nothing_is_config_error(
             self, tmp_path, capsys, kind, knobs, shown):
         # each printed "<kind>: pass" with no rows and exited 0; 0 instances
@@ -224,8 +230,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("kind, knobs, argv, shown", [
         ("ubound", {"n_samples": 2, "seed": None}, [], "None"),
         ("chaos", {"n_instances": 2, "seed": None}, [], "None"),
-        ("stransform", {"sweep": True, "n_nonzero": 2, "n_origin_d1": 1,
-                        "seed": None}, [], "None"),
+        ("existence", {"n_nonzero": 2, "n_origin_d1": 1, "seed": None}, [],
+         "None"),
         ("ubound", {"n_samples": 2}, ["--seed", str(2 ** 64)], str(2 ** 64)),
         ("ubound", {"n_samples": 2}, ["--seed", "-1"], "-1"),
         ("mc", {"n_paths": 64, "n_steps": 16, "stderr_fraction": None},
@@ -233,7 +239,7 @@ class TestExitCodes:
         ("mc", {"n_paths": 64, "n_steps": 16, "stderr_fraction": None},
          ["--seed", "-1"], "-1"),
         ("ubound", {"n_samples": 2, "seed": True}, [], "True"),
-    ], ids=["ubound-null", "chaos-null", "stransform-sweep-null",
+    ], ids=["ubound-null", "chaos-null", "existence-null",
             "ubound-2^64", "ubound-minus-1", "mc-2^64", "mc-minus-1",
             "ubound-true"])
     def test_seed_outside_u64_is_config_error(self, tmp_path, capsys, kind,
@@ -280,10 +286,9 @@ class TestFailedCheck:
         ("gamma-check", {"d_values": [1, 2], "r_values": [1.0],
                          "T_values": [1.0]},
          "integrate_singular", QuadResult(math.nan, 0.0, 0, 0)),
-        ("chaos", {"order": 1, "n_instances": 3},
-         "first_chaos_pairing_closed", math.nan),
-        ("chaos", {"order": 2, "n_instances": 3},
-         "second_chaos_pairing_closed", math.nan),
+        ("chaos", {"n_instances": 3}, "first_chaos_pairing_closed", math.nan),
+        ("second-chaos", {"n_instances": 3}, "second_chaos_pairing_closed",
+         math.nan),
         ("ubound", {"n_samples": 3}, "fit_ufunctional_bound",
          BoundFit(C1=math.nan, C2=math.nan)),
     ])
@@ -361,11 +366,11 @@ class TestRecords:
 
     def test_csv_reads_back_to_the_record_rows(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
-            "sweep": True, "n_nonzero": 3, "n_origin_d1": 1, "seed": 5})
-        assert main(["stransform", "--config", cfg,
+            "n_nonzero": 3, "n_origin_d1": 1, "seed": 5})
+        assert main(["existence", "--config", cfg,
                      "--out", str(tmp_path)]) == 0
-        rec = json.loads((tmp_path / "stransform.json").read_text())
-        with open(tmp_path / "stransform.csv", newline="") as fh:
+        rec = json.loads((tmp_path / "existence.json").read_text())
+        with open(tmp_path / "existence.csv", newline="") as fh:
             rows = [{k: json.loads(v) for k, v in row.items()}
                     for row in csv.DictReader(fh)]
         assert any(len(row["x"]) > 1 for row in rows)
@@ -547,14 +552,42 @@ class TestRecords:
 
     def test_seed_override_changes_sweep(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
-            "sweep": True, "n_nonzero": 2, "n_origin_d1": 1, "seed": 1})
+            "n_nonzero": 2, "n_origin_d1": 1, "seed": 1})
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["stransform", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["stransform", "--config", cfg, "--out", str(out2),
+        assert main(["existence", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["existence", "--config", cfg, "--out", str(out2),
                      "--seed", "42"]) == 0
-        r1 = json.loads((out1 / "stransform.json").read_text())
-        r2 = json.loads((out2 / "stransform.json").read_text())
+        r1 = json.loads((out1 / "existence.json").read_text())
+        r2 = json.loads((out2 / "existence.json").read_text())
         assert r1["rows"][0]["x"] != r2["rows"][0]["x"]
+
+
+class TestKinds:
+    @pytest.mark.parametrize("kind", sorted(experiments.EXPERIMENT_KINDS))
+    def test_runner_takes_named_parameters_only(self, kind):
+        # a runner that took **knobs could pass a config on to another
+        params = inspect.signature(
+            experiments.EXPERIMENT_KINDS[kind]).parameters.values()
+        assert all(p.kind is not p.VAR_KEYWORD for p in params)
+
+    def test_each_kind_writes_its_own_record(self, tmp_path):
+        # criteria 2-4 and a single evaluation ran as two kinds and wrote
+        # stransform.json or chaos.json over each other
+        configs = {
+            "stransform": {"x": [0.5], "T": 1.0, "phi": phi_ref([[1.0]])},
+            "existence": {"n_nonzero": 2, "n_origin_d1": 1},
+            "chaos": {"n_instances": 2},
+            "second-chaos": {"n_instances": 2},
+        }
+        out = tmp_path / "out"
+        for kind, knobs in configs.items():
+            cfg = write_config(tmp_path, f"{kind}-config.json", knobs)
+            assert main([kind, "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*.json")) == sorted(
+            f"{kind}.json" for kind in configs)
+        for kind in configs:
+            rec = json.loads((out / f"{kind}.json").read_text())
+            assert rec["kind"] == kind
 
 
 class TestShippedConfigs:
@@ -574,7 +607,7 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("name", [*sorted(os.listdir(CONFIG_DIR)),
                                       "stransform", "mollified"])
     def test_unknown_key_refused_before_any_work(self, monkeypatch, name):
-        # covers the sweep and order forwarding without running a criterion
+        # covers every shipped config's kind without running a criterion
         def no_work(*args, **kwargs):
             raise AssertionError("ran work before refusing the key")
 

@@ -124,6 +124,17 @@ class TestErrorEstimate:
             abs(gauss(32) - gauss(16)), rel=1e-12, abs=1e-15)
         assert 1e-6 < res.abs_error_estimate < 1.0
 
+    @pytest.mark.parametrize("tol", [1e-4, 1e-5, 1e-6, 1e-7])
+    def test_interior_singularity_stops_before_nodes_collapse(self, tol):
+        # bisection closes in on 1/pi; a panel whose 48 nodes had rounded to
+        # two floats, 24 of them 1/pi, gave equal Gauss sums: 5.55e133 with
+        # an estimate of 7.6e-10 at tol 1e-6
+        c = 1.0 / np.pi
+        exact = 2.0 * (np.sqrt(c) + np.sqrt(1.0 - c))
+        res = integrate_singular(lambda t: (abs(t - c) + 1e-300) ** -0.5,
+                                 1.0, sing_exponent=0.0, tol=tol)
+        assert abs(res.value - exact) <= res.abs_error_estimate <= tol
+
     def test_halving_tol_never_hurts(self):
         for name, f, T, p, damping, exact in CASES:
             prev_err = np.inf

@@ -1,9 +1,11 @@
 """scripts/record_diff.py: estimate bodies unfold into fields, and a changed
-field that holds no number shows no numeric change."""
+field that holds no number shows no numeric change, and each tree runs its
+own configs."""
 
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -64,3 +66,17 @@ def test_changed_field_without_a_number_prints_dashes(record_diff,
     assert rows["05_mc_grid.json.rows[].note"] == ["1/1", "-", "-"]
     assert rows["05_mc_grid.json.passed"] == ["1/1", "-", "-"]
     assert summary.endswith("passed flags DIFFER")
+
+
+def test_each_tree_runs_its_own_configs(record_diff, monkeypatch, tmp_path):
+    # the other tree's configs may name kinds this tree's src does not know
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        seen.append((argv[-1], env["PYTHONPATH"], cwd))
+        return subprocess.CompletedProcess(argv, 0, stdout="{}")
+
+    monkeypatch.setattr(record_diff.subprocess, "run", fake_run)
+    assert record_diff.records(str(tmp_path)) == {}
+    tree = tmp_path.resolve()
+    assert seen == [(str(tree / "configs"), str(tree / "src"), tree)]
